@@ -15,7 +15,6 @@ hexagon and 12-gon complexes.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -330,7 +329,8 @@ def enumerate_cells(spec: ComplexSpec, dim: int | None = None):
 
     def walk(idx: int, covered: int, used: int, dims: int):
         if idx == r:
-            assert bound is None or dims <= bound
+            if bound is not None and dims > bound:
+                raise RuntimeError(f"internal: cell dimension {dims} exceeds the bound {bound}")
             yield Cell(tuple(p.elements for p in chosen))
             return
         for part in per_color[idx]:
@@ -406,7 +406,9 @@ def f_vector(spec: ComplexSpec, workers: int | None = None):
     product level across processes; the counts are identical either way.
     """
     g = spec.graph
-    per_color = _parts_by_color(spec)
+    # Counts do not depend on the order of the colors, and the walk prunes
+    # best when the colors with the most candidate parts come first.
+    per_color = sorted(_parts_by_color(spec), key=len, reverse=True)
     workers = _resolve_workers(workers)
     if any(not parts for parts in per_color):
         return (0,)
@@ -420,6 +422,8 @@ def f_vector(spec: ComplexSpec, workers: int | None = None):
             (per_color, spec.require_cover, full, lo, min(lo + step, len(first)))
             for lo in range(0, len(first), step)
         ]
+        from concurrent.futures import ProcessPoolExecutor
+
         counts = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_fvector_worker, jobs):
@@ -428,7 +432,8 @@ def f_vector(spec: ComplexSpec, workers: int | None = None):
     if not counts:
         return (0,)
     length = (max_dimension(spec) if spec.require_cover else max(counts)) + 1
-    assert max(counts) < length
+    if max(counts) >= length:
+        raise RuntimeError(f"internal: a cell of dimension {max(counts)} exceeds {length - 1}")
     return tuple(counts.get(i, 0) for i in range(length))
 
 

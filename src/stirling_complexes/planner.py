@@ -89,41 +89,116 @@ class PlanVerification:
         return self.ok
 
 
+def _ensure(holds: bool, what: str) -> None:
+    """Raise ``PlanningError`` when a planner invariant fails."""
+    if not holds:
+        raise PlanningError(f"internal: {what}")
+
+
 def _is_zero_cell(spec: ComplexSpec, cell: Cell) -> bool:
     return cell.dimension == 0 and is_valid_cell(spec, cell)
 
 
-def is_valid_move(spec: ComplexSpec, cell: Cell, move: Move) -> bool:
-    """Whether the slide is legal: the robot exists, the traversed 1-cell and
-    the target 0-cell are both valid cells of the complex."""
+# A 0-cell as the planner moves it: one vertex bitmask per color.
+_Masks = tuple[int, ...]
+
+
+def _encode(cell: Cell) -> _Masks:
+    """The state of a valid 0-cell (its parts hold distinct in-range vertices)."""
+    return tuple(sum(1 << v for v in part) for part in cell.parts)
+
+
+def _decode(state: _Masks) -> Cell:
+    """The canonical 0-cell of a state: set bits in ascending order."""
+    return Cell(tuple(tuple(v for v in range(m.bit_length()) if m >> v & 1) for m in state))
+
+
+def _move_rule(spec: ComplexSpec, state: _Masks) -> tuple[int, int]:
+    """The one rule for elementary moves, as two vertex masks: the vertices a
+    robot may leave and the vertices no robot may enter.
+
+    A robot of color c slides from u to the adjacent v exactly when u holds c
+    and may be left, and v neither holds c nor is closed to entry.  Under
+    coverage a robot may leave only a vertex holding at least two colors, so
+    no vertex is left bare.  With coverage off the separation rule binds
+    across colors, so the target vertex must be free of every robot.
+    """
+    if spec.require_cover:
+        once = twice = 0
+        for mask in state:
+            twice |= once & mask
+            once |= mask
+        return twice, 0
+    occupied = 0
+    for mask in state:
+        occupied |= mask
+    return -1, occupied
+
+
+def _successors(spec: ComplexSpec, state: _Masks):
+    """Yield ``(Move, next_state)`` for every legal move, by color, then source
+    vertex ascending, then target in adjacency order."""
+    leave, blocked = _move_rule(spec, state)
+    adjacency = spec.graph.adjacency
+    for color, mask in enumerate(state):
+        closed = mask | blocked
+        movable = mask & leave
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            u = low.bit_length() - 1
+            for v in adjacency[u]:
+                if not closed >> v & 1:
+                    nxt = list(state)
+                    nxt[color] = mask ^ low ^ (1 << v)
+                    yield Move(color, u, v), tuple(nxt)
+
+
+def _step(spec: ComplexSpec, state: _Masks, move: Move) -> _Masks | None:
+    """The state after one move, or None when the move is illegal.
+
+    The color range and the edge are checked before any shift, so moves read
+    from outside (negative or out-of-range numbers) are rejected, not raised.
+    """
+    color, source, target = move.color, move.source, move.target
+    if not 0 <= color < spec.colors.r or not spec.graph.has_edge(source, target):
+        return None
+    leave, blocked = _move_rule(spec, state)
+    mask = state[color]
+    if not (mask & leave) >> source & 1 or (mask | blocked) >> target & 1:
+        return None
+    nxt = list(state)
+    nxt[color] = mask ^ (1 << source) ^ (1 << target)
+    return tuple(nxt)
+
+
+def _move_state(spec: ComplexSpec, cell: Cell) -> _Masks:
+    """The state of a cell passed to a public move function."""
     if cell.dimension != 0:
         raise ValueError("moves are defined on 0-cells")
-    if not 0 <= move.color < spec.colors.r:
-        return False
-    if not spec.graph.has_edge(move.source, move.target):
-        return False
-    src_occ = occupancy(cell, move.source)
-    if move.color not in src_occ:
-        return False
-    tgt_occ = occupancy(cell, move.target)
-    if move.color in tgt_occ:
-        return False
-    if spec.require_cover:
-        return len(src_occ) >= 2
-    # With coverage off the separation rule binds across colors, so the
-    # vacated edge and target vertex must be free of every other robot.
-    return not tgt_occ
+    n = spec.graph.n
+    if len(cell.parts) != spec.colors.r or any(
+        len(set(part)) != len(part) or not all(0 <= v < n for v in part)
+        for part in cell.parts
+    ):
+        raise ValueError(f"{format_cell(cell)} is not a 0-cell of this graph and color count")
+    return _encode(cell)
+
+
+def is_valid_move(spec: ComplexSpec, cell: Cell, move: Move) -> bool:
+    """Whether the slide is legal: the robot exists, the traversed 1-cell and
+    the target 0-cell are both valid cells of the complex.  A cell with an
+    edge slot, a vertex outside the graph, a repeated vertex in one part, or
+    the wrong number of parts raises ``ValueError``."""
+    return _step(spec, _move_state(spec, cell), move) is not None
 
 
 def apply_move(spec: ComplexSpec, cell: Cell, move: Move) -> Cell:
     """The 0-cell after a legal move; raises ``InvalidMoveError`` otherwise."""
-    if not is_valid_move(spec, cell, move):
+    nxt = _step(spec, _move_state(spec, cell), move)
+    if nxt is None:
         raise InvalidMoveError(f"illegal move {move} in {format_cell(cell)}")
-    parts = list(cell.parts)
-    parts[move.color] = tuple(
-        move.target if el == move.source else el for el in parts[move.color]
-    )
-    return Cell.make(parts)
+    return _decode(nxt)
 
 
 def snap(spec: ComplexSpec, cell: Cell) -> Cell:
@@ -138,19 +213,20 @@ def snap(spec: ComplexSpec, cell: Cell) -> Cell:
         [el if isinstance(el, int) else el[0] for el in part] for part in cell.parts
     ]
     snapped = Cell.make(parts)
-    assert is_valid_cell(spec, snapped)
+    _ensure(is_valid_cell(spec, snapped), "snap produced an invalid cell")
     return snapped
 
 
 class _State:
-    """Mutable working copy of a 0-cell plus the log of emitted moves."""
+    """Mutable working copy of a 0-cell: its masks, the colors on each vertex
+    (which the planner queries), and the log of emitted moves."""
 
-    __slots__ = ("spec", "graph", "parts", "occ", "moves")
+    __slots__ = ("spec", "graph", "masks", "occ", "moves")
 
     def __init__(self, spec: ComplexSpec, cell: Cell):
         self.spec = spec
         self.graph = spec.graph
-        self.parts = [set(part) for part in cell.parts]
+        self.masks = _encode(cell)
         self.occ = [set() for _ in range(spec.graph.n)]
         for color, part in enumerate(cell.parts):
             for v in part:
@@ -164,24 +240,19 @@ class _State:
         return len(self.occ[v]) >= 2
 
     def move(self, color: int, source: int, target: int) -> None:
-        occ = self.occ
-        if (
-            color not in occ[source]
-            or color in occ[target]
-            or not self.graph.has_edge(source, target)
-            or (self.spec.require_cover and len(occ[source]) < 2)
-        ):
+        mv = Move(color, source, target)
+        nxt = _step(self.spec, self.masks, mv)
+        if nxt is None:
             raise InvalidMoveError(
                 f"illegal move ({color}, {source} -> {target}) while planning"
             )
-        occ[source].discard(color)
-        occ[target].add(color)
-        self.parts[color].discard(source)
-        self.parts[color].add(target)
-        self.moves.append(Move(color, source, target))
+        self.masks = nxt
+        self.occ[source].discard(color)
+        self.occ[target].add(color)
+        self.moves.append(mv)
 
     def snapshot(self) -> Cell:
-        return Cell.make(tuple(sorted(part) for part in self.parts))
+        return _decode(self.masks)
 
 
 def _check_path(state: _State, path, name: str) -> None:
@@ -212,7 +283,7 @@ def _leapfrog(state: _State, z: int, path, k: int) -> None:
     """
     carriers = [idx for idx, v in enumerate(path) if k in state.colors_at(v)]
     t = max(carriers)
-    assert t < len(path) - 1
+    _ensure(t < len(path) - 1, "leapfrog target already holds the color")
     if t == 0:
         _walk(state, k, path)
         return
@@ -234,8 +305,8 @@ def _swap_third(state: _State, z: int, w: int, path, i: int, k: int) -> None:
     the next vertex is absorbed into the recursion, with a second color from
     ``z`` briefly parked there when that vertex has no spare robot.
     """
-    assert set(state.colors_at(w)) == {k}
-    assert state.available(z) and i in state.colors_at(z)
+    _ensure(state.colors_at(w) == {k}, "swap_third: w must hold only the lone color k")
+    _ensure(state.available(z) and i in state.colors_at(z), "swap_third: z must hold i and more")
     if len(path) == 2:
         state.move(i, z, w)
         state.move(k, w, z)
@@ -274,11 +345,11 @@ def _borrow_swap(state: _State, x: int, y: int, i: int, j: int) -> None:
             if spare:
                 z, k = v, spare[0]
                 break
-    assert z is not None
+    _ensure(z is not None, "borrow_swap: no available vertex has a third color")
     to_x = shortest_path(state.graph, z, x)
     to_y = shortest_path(state.graph, z, y)
     path, target, other = (to_x, x, y) if len(to_x) <= len(to_y) else (to_y, y, x)
-    assert other not in path
+    _ensure(other not in path, "borrow_swap: the relay path crosses the swap edge")
     mark = len(state.moves)
     _leapfrog(state, z, path, k)
     relay = list(state.moves[mark:])
@@ -302,7 +373,7 @@ def _swap_adjacent(state: _State, x: int, y: int, i: int, j: int) -> None:
         state.move(j, y, x)
         state.move(i, x, y)
         return
-    assert set(state.colors_at(x)) == {i} and set(state.colors_at(y)) == {j}
+    _ensure(state.colors_at(x) == {i} and state.colors_at(y) == {j}, "swap_adjacent: bare ends")
     has_spare = any(
         state.available(v) and (state.colors_at(v) - {i, j})
         for v in range(state.graph.n)
@@ -328,7 +399,7 @@ def _relocated_third_swap(state: _State, x: int, y: int, i: int, j: int) -> None
     """
     g = state.graph
     z = next(v for v in range(g.n) if state.available(v))
-    assert state.colors_at(z) == {i, j}
+    _ensure(state.colors_at(z) == {i, j}, "relocated_third_swap: z has a third color")
     spares = [k for k in range(state.spec.colors.r) if k not in (i, j)]
 
     for k in spares:
@@ -394,12 +465,11 @@ def _search_swap(state: _State, x: int, y: int, i: int, j: int) -> None:
     is reachable whenever the complex is path-connected, which the calling
     hypotheses guarantee.
     """
-    start = state.snapshot()
-    parts = list(start.parts)
-    parts[i] = tuple(y if v == x else v for v in parts[i])
-    parts[j] = tuple(x if v == y else v for v in parts[j])
-    goal = Cell.make(parts)
-    found = plan_bfs(state.spec, start, goal)
+    goal = list(state.masks)
+    ends = (1 << x) | (1 << y)
+    goal[i] ^= ends
+    goal[j] ^= ends
+    found = plan_bfs(state.spec, state.snapshot(), _decode(goal))
     if found is None:
         raise PlanningError(
             f"no move sequence exchanges colors ({i}, {j}) between ({x}, {y})"
@@ -411,8 +481,9 @@ def _search_swap(state: _State, x: int, y: int, i: int, j: int) -> None:
 def _swap_along(state: _State, path, i: int, j: int) -> None:
     """Swap the i robot on the first path vertex with the j robot on the last."""
     x, y = path[0], path[-1]
-    assert i in state.colors_at(x) and j not in state.colors_at(x)
-    assert j in state.colors_at(y) and i not in state.colors_at(y)
+    occ_x, occ_y = state.colors_at(x), state.colors_at(y)
+    _ensure(i in occ_x and j not in occ_x, "swap_along: x must hold i and not j")
+    _ensure(j in occ_y and i not in occ_y, "swap_along: y must hold j and not i")
     if len(path) == 2:
         _swap_adjacent(state, x, y, i, j)
         return
@@ -479,7 +550,7 @@ def _realize_cycle(state: _State, cycle: list[tuple[int, int]]) -> None:
         verts = [v for _, v in cycle] + [v1]
         cols = [c for c, _ in cycle] + [i1]
         t = min(s for s in range(2, p + 2) if i1 in state.colors_at(verts[s - 1]))
-        assert t >= 3
+        _ensure(t >= 3, "realize_cycle: the lead color is already in place")
         for s in range(t, 2, -1):
             _swap(state, verts[s - 1], verts[s - 2], i1, cols[s - 2])
         if t == p + 1:
@@ -598,7 +669,7 @@ def same_type_plan(spec: ComplexSpec, cell: Cell, goal: Cell) -> MovePlan:
     state = _State(spec, cell)
     _realize_profile(state, target)
     plan = _finish(state, cell)
-    assert plan.end == goal
+    _ensure(plan.end == goal, "same_type_plan did not reach the goal")
     return plan
 
 
@@ -631,7 +702,7 @@ def plan(spec: ComplexSpec, start: Cell, goal: Cell) -> MovePlan:
             k = min(bwd.colors_at(y) - bwd.colors_at(x))
             _leapfrog(bwd, y, shortest_path(g, y, x), k)
     _realize_profile(fwd, [set(s) for s in bwd.occ])
-    assert fwd.snapshot() == bwd.snapshot()
+    _ensure(fwd.masks == bwd.masks, "the forward and backward halves of the plan do not meet")
     moves = list(fwd.moves) + [mv.flipped() for mv in reversed(bwd.moves)]
     result = MovePlan(spec, start, tuple(moves), goal)
     check = verify_plan(result)
@@ -647,30 +718,23 @@ def plan_bfs(spec: ComplexSpec, start: Cell, goal: Cell) -> MovePlan | None:
     _require_zero_cell(spec, goal, "goal")
     if start == goal:
         return MovePlan(spec, start, (), goal)
-    g = spec.graph
-    parent: dict[Cell, tuple[Cell, Move] | None] = {start: None}
-    queue = deque([start])
+    source, target = _encode(start), _encode(goal)
+    parent: dict[_Masks, tuple[_Masks, Move] | None] = {source: None}
+    queue = deque([source])
     while queue:
-        cell = queue.popleft()
-        for color in range(spec.colors.r):
-            for u in cell.parts[color]:
-                for v in g.adjacency[u]:
-                    mv = Move(color, u, v)
-                    if not is_valid_move(spec, cell, mv):
-                        continue
-                    nxt = apply_move(spec, cell, mv)
-                    if nxt in parent:
-                        continue
-                    parent[nxt] = (cell, mv)
-                    if nxt == goal:
-                        moves: list[Move] = []
-                        back = nxt
-                        while parent[back] is not None:
-                            back, mv = parent[back]
-                            moves.append(mv)
-                        moves.reverse()
-                        return MovePlan(spec, start, tuple(moves), goal)
-                    queue.append(nxt)
+        state = queue.popleft()
+        for mv, nxt in _successors(spec, state):
+            if nxt in parent:
+                continue
+            parent[nxt] = (state, mv)
+            if nxt == target:
+                moves: list[Move] = []
+                while parent[nxt] is not None:
+                    nxt, mv = parent[nxt]
+                    moves.append(mv)
+                moves.reverse()
+                return MovePlan(spec, start, tuple(moves), goal)
+            queue.append(nxt)
     return None
 
 
@@ -680,14 +744,12 @@ def verify_plan(plan: MovePlan) -> PlanVerification:
     spec = plan.spec
     if not _is_zero_cell(spec, plan.start):
         return PlanVerification(False, 0)
-    cur = plan.start
+    state = _encode(plan.start)
     for step, mv in enumerate(plan.moves, start=1):
-        if not is_valid_move(spec, cur, mv):
+        state = _step(spec, state, mv)
+        if state is None:
             return PlanVerification(False, step)
-        parts = list(cur.parts)
-        parts[mv.color] = tuple(mv.target if el == mv.source else el for el in parts[mv.color])
-        cur = Cell.make(parts)
-    if plan.end is not None and cur != plan.end:
+    if plan.end is not None and _decode(state) != plan.end:
         return PlanVerification(False, len(plan.moves) + 1)
     return PlanVerification(True, None)
 

@@ -254,6 +254,24 @@ class TestPlanAndVerify:
         report = json.loads(out)
         assert code == 1 and report["failed_at"] == "0"
 
+    @pytest.mark.parametrize("line", ["2 1 -1", "2 1 3", "3 1 0", "0 0 2"])
+    def test_move_outside_the_complex_fails_at_its_step(self, capsys, tmp_path, line):
+        """A vertex outside 0..n-1, a color outside 0..r-1, or a non-edge."""
+        plan_file = tmp_path / "plan.txt"
+        plan_file.write_text(f"{{0,1}}|{{0,2}}|{{0}}\n2 0 1\n{line}\n")
+        code, out, _ = run(
+            capsys,
+            "verify",
+            "--graph",
+            "P3",
+            "--colors",
+            "2,2,1",
+            "--plan-file",
+            str(plan_file),
+        )
+        report = json.loads(out)
+        assert code == 1 and report["ok"] is False and report["failed_at"] == "2"
+
 
 class TestUsageErrors:
     def test_both_graph_sources(self, capsys, tmp_path):

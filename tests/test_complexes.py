@@ -13,6 +13,7 @@ from stirling_complexes import (
     enumerate_cells,
     f_vector,
     format_cell,
+    generate_named,
     is_available,
     is_nonempty,
     is_nontrivial,
@@ -268,6 +269,23 @@ class TestWorkers:
         monkeypatch.setenv("STIRLING_WORKERS", "zebra")
         with pytest.raises(ValueError):
             f_vector(spec)
+
+
+class TestColorOrder:
+    @pytest.mark.parametrize(
+        "family, n, sizes, cover",
+        [
+            ("path", 5, (3, 2, 1), True),
+            ("cycle", 5, (1, 2, 2, 3), True),
+            ("star", 4, (2, 1, 1), False),
+        ],
+    )
+    def test_f_vector_ignores_color_order(self, family, n, sizes, cover):
+        g = generate_named(family, n)
+        expected = f_vector(ComplexSpec(g, ColorVector(sizes), require_cover=cover))
+        for order in set(itertools.permutations(sizes)):
+            spec = ComplexSpec(g, ColorVector(order), require_cover=cover)
+            assert f_vector(spec) == expected
 
 
 class TestCellText:

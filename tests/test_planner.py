@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -10,8 +11,11 @@ from stirling_complexes import (
     HypothesisNotMetError,
     Move,
     PlanningError,
+    PlanVerification,
     SimpleGraph,
     apply_move,
+    build_one_skeleton,
+    component_labels,
     enumerate_cells,
     format_plan,
     generate_named,
@@ -35,6 +39,54 @@ from stirling_complexes.planner import InvalidMoveError, PlanFormatError
 
 def occ_map(g, cell):
     return [set(occupancy(cell, v)) for v in range(g.n)]
+
+
+def reference_bfs_parents(spec, start):
+    """Breadth-first search over ``Cell`` objects through the public
+    is_valid_move/apply_move, in the planner's successor order (color, source
+    vertex, adjacency order).  Parents are fixed on first discovery, so a
+    search that stops at a goal assigns the same parents up to that point:
+    the path to any goal in this tree is the plan such a search returns."""
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        cell = queue.popleft()
+        for color in range(spec.colors.r):
+            for u in cell.parts[color]:
+                for v in spec.graph.adjacency[u]:
+                    mv = Move(color, u, v)
+                    if not is_valid_move(spec, cell, mv):
+                        continue
+                    nxt = apply_move(spec, cell, mv)
+                    if nxt not in parent:
+                        parent[nxt] = (cell, mv)
+                        queue.append(nxt)
+    return parent
+
+
+def reference_moves(parent, goal):
+    moves = []
+    while parent[goal] is not None:
+        goal, mv = parent[goal]
+        moves.append(mv)
+    return tuple(reversed(moves))
+
+
+def skeleton_distances(sk, source):
+    """Arc-count distances from one node of the 1-skeleton."""
+    nbrs = [[] for _ in sk.nodes]
+    for a, b in sk.arcs:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        a = queue.popleft()
+        for b in nbrs[a]:
+            if b not in dist:
+                dist[b] = dist[a] + 1
+                queue.append(b)
+    return dist
 
 
 @pytest.fixture
@@ -134,6 +186,18 @@ class TestMoves:
         one_cell = Cell.make([(0, 1), (0, 2), ((0, 1),)])
         with pytest.raises(ValueError):
             is_valid_move(spec, one_cell, Move(0, 0, 1))
+
+    def test_cell_outside_the_complex_is_rejected(self, p3):
+        spec = ComplexSpec(p3, ColorVector((2, 2, 1)))
+        for bad in (
+            Cell.make([(0, 3), (0, 2), (0,)]),
+            Cell.make([(-1, 1), (0, 2), (0,)]),
+            Cell.make([(0, 1), (0, 2)]),
+        ):
+            with pytest.raises(ValueError):
+                is_valid_move(spec, bad, Move(0, 0, 1))
+            with pytest.raises(ValueError):
+                apply_move(spec, bad, Move(0, 0, 1))
 
     def test_color_out_of_range_is_illegal(self, p3):
         spec = ComplexSpec(p3, ColorVector((2, 2, 1)))
@@ -536,6 +600,38 @@ class TestPlanBfs:
         assert result is not None and verify_plan(result)
 
 
+class TestBfsDifferential:
+    @pytest.mark.parametrize(
+        "family, n, sizes, cover",
+        [
+            ("path", 3, (2, 2, 1), True),
+            ("star", 4, (3, 2), True),
+            ("cycle", 4, (2, 2, 2), True),
+            ("star", 4, (1, 1), False),
+            ("path", 4, (1, 1), False),
+            ("path", 6, (4, 3), True),
+        ],
+    )
+    def test_every_pair_matches_the_cell_level_search(self, family, n, sizes, cover):
+        """plan_bfs returns the reference search's moves exactly, its length is
+        the distance over the 1-skeleton's arcs, and it is None exactly
+        across components."""
+        spec = ComplexSpec(generate_named(family, n), ColorVector(sizes), require_cover=cover)
+        sk = build_one_skeleton(spec)
+        _, labels = component_labels(sk)
+        for a, start in enumerate(sk.nodes):
+            parent = reference_bfs_parents(spec, start)
+            dist = skeleton_distances(sk, a)
+            for b, goal in enumerate(sk.nodes):
+                found = plan_bfs(spec, start, goal)
+                if labels[a] != labels[b]:
+                    assert found is None and goal not in parent and b not in dist
+                    continue
+                assert found is not None and found.end == goal
+                assert found.moves == reference_moves(parent, goal)
+                assert len(found.moves) == dist[b]
+
+
 class TestVerify:
     def test_corrupted_move_reports_its_step(self, p3):
         spec = ComplexSpec(p3, ColorVector((2, 2, 1)))
@@ -581,6 +677,31 @@ class TestVerify:
                 spec, b, tuple(mv.flipped() for mv in reversed(forward.moves)), a
             )
             assert verify_plan(backward)
+
+
+MALFORMED_MOVES = {
+    "negative vertex": "2 1 -1",
+    "vertex n": "2 1 3",
+    "color r": "3 1 0",
+    "non-adjacent": "0 0 2",
+}
+
+
+class TestMalformedReplay:
+    """On P3 with colors (2,2,1): one legal move, then a move naming a vertex
+    or color outside the complex, or a pair that is not an edge."""
+
+    START = "{0,1}|{0,2}|{0}"
+
+    @pytest.mark.parametrize("line", MALFORMED_MOVES.values(), ids=MALFORMED_MOVES.keys())
+    def test_rejected_without_raising(self, p3, line):
+        spec = ComplexSpec(p3, ColorVector((2, 2, 1)))
+        parsed = parse_plan(spec, f"{self.START}\n2 0 1\n{line}\n")
+        assert verify_plan(parsed) == PlanVerification(False, 2)
+        after_first = apply_move(spec, parsed.start, parsed.moves[0])
+        assert not is_valid_move(spec, after_first, parsed.moves[1])
+        with pytest.raises(InvalidMoveError):
+            apply_move(spec, after_first, parsed.moves[1])
 
 
 class TestPlanText:
