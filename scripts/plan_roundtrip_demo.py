@@ -17,14 +17,12 @@ from stirling_complexes import (
     enumerate_cells,
     format_cell,
     format_plan,
-    generate_named,
     parse_cell,
+    parse_graph_name,
     plan,
     plan_bfs,
     verify_plan,
 )
-
-FAMILIES = {"P": "path", "T": "star", "C": "cycle", "K": "complete"}
 
 
 def main():
@@ -35,7 +33,10 @@ def main():
     parser.add_argument("--end", help="explicit end cell text")
     args = parser.parse_args()
 
-    g = generate_named(FAMILIES[args.graph[0]], int(args.graph[1:]))
+    try:
+        g = parse_graph_name(args.graph)
+    except ValueError as exc:
+        parser.error(str(exc))
     spec = ComplexSpec(g, ColorVector.parse(args.colors))
     cells = list(enumerate_cells(spec, dim=0))
     if not cells:

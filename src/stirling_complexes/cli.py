@@ -2,15 +2,14 @@
 
 Exit codes are a stable contract: 0 success, 1 failed plan verification,
 2 usage error, 3 empty complex or unreachable goal, 4 constructive-planning
-hypotheses not met.  All counts are emitted as decimal strings so consumers
-never hit integer-width limits.
+hypotheses not met, 5 internal planner failure.  All counts are emitted as
+decimal strings so consumers never hit integer-width limits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -25,9 +24,10 @@ from .complexes import (
     is_valid_cell,
 )
 from .counting import two_one_cell_counts, uniform_cell_counts, wedge_count
-from .graphs import EdgeListError, SimpleGraph, generate_named, is_connected, parse_edge_list
+from .graphs import EdgeListError, SimpleGraph, is_connected, parse_edge_list, parse_graph_name
 from .planner import (
     HypothesisNotMetError,
+    InternalPlanningError,
     PlanFormatError,
     PlanningError,
     format_plan,
@@ -49,8 +49,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_EMPTY_OR_UNREACHABLE = 3
 EXIT_HYPOTHESIS_NOT_MET = 4
-
-_FAMILY_LETTERS = {"P": "path", "T": "star", "C": "cycle", "K": "complete"}
+EXIT_INTERNAL = 5
 
 
 class UsageError(ValueError):
@@ -61,13 +60,8 @@ def _load_graph(args) -> SimpleGraph:
     if (args.graph is None) == (args.graph_file is None):
         raise UsageError("provide exactly one of --graph or --graph-file")
     if args.graph is not None:
-        match = re.fullmatch(r"([PTCK])(\d+)", args.graph)
-        if not match:
-            raise UsageError(
-                f"--graph must look like K5, P3, T4 or C4, got {args.graph!r}"
-            )
         try:
-            return generate_named(_FAMILY_LETTERS[match.group(1)], int(match.group(2)))
+            return parse_graph_name(args.graph)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     path = Path(args.graph_file)
@@ -295,6 +289,9 @@ def main(argv=None) -> int:
     except HypothesisNotMetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS_NOT_MET
+    except InternalPlanningError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except PlanningError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -354,6 +354,89 @@ def enumerate_cells(spec: ComplexSpec, dim: int | None = None):
     yield from walk(0, 0, 0, 0)
 
 
+def _low_cells(spec: ComplexSpec):
+    """The per-color parts plus every 0- and 1-cell as a key of part indices.
+
+    One walk over the parts with at most one edge, in canonical order.  A key
+    is an int that holds color i's part index in bits ``shifts[i]`` to
+    ``shifts[i + 1]``; ints, unlike tuples, are not tracked by the garbage
+    collector, so thousands of keys per complex cost it nothing.  Returns the
+    parts, the shifts, the 0-cell keys, the 1-cell keys and, parallel to
+    those, the color whose part holds each 1-cell's edge.
+    """
+    g = spec.graph
+    sizes = spec.colors.sizes
+    per_color = _parts_by_color(spec)
+    cover = spec.require_cover
+    full = (1 << g.n) - 1
+    # per group size: (part index, cover or closure mask, edge count) of the
+    # parts with at most one edge, and the vertex-only ones among them
+    by_size = {}
+    for size, parts in zip(sizes, per_color):
+        if size not in by_size:
+            low = tuple(
+                (j, p.cover if cover else p.closure, p.edge_count)
+                for j, p in enumerate(parts)
+                if p.edge_count <= 1
+            )
+            by_size[size] = (low, tuple(x for x in low if x[2] == 0))
+    levels = [by_size[size] for size in sizes]
+    last = len(sizes) - 1
+    # cap[idx]: the most vertices that colors idx.. can still cover
+    cap = [0] * (last + 2)
+    for idx in range(last, -1, -1):
+        cap[idx] = cap[idx + 1] + max((m.bit_count() for _, m, _ in levels[idx][0]), default=0)
+    # The last color is indexed by vertex: bit k of fits[v] says that its k-th
+    # low part covers v (covering) or keeps clear of v (coverage off), so the
+    # parts that complete a prefix are one AND per missing or used vertex.
+    tail = levels[last][0]
+    fits = [0] * g.n
+    for k, (_, m, _) in enumerate(tail):
+        for v in range(g.n):
+            if bool(m >> v & 1) == cover:
+                fits[v] |= 1 << k
+    tail_any = (1 << len(tail)) - 1
+    tail_flat = sum(1 << k for k, x in enumerate(tail) if x[2] == 0)
+    shifts = [0]
+    for parts in per_color:
+        shifts.append(shifts[-1] + len(parts).bit_length())
+
+    zero_keys: list[int] = []
+    one_keys: list[int] = []
+    edge_colors: list[int] = []
+
+    def walk(idx: int, mask: int, edge_color: int, key: int):
+        shift = shifts[idx]
+        if idx == last:
+            bits = tail_flat if edge_color >= 0 else tail_any
+            need = full & ~mask if cover else mask
+            while need:
+                bit = need & -need
+                bits &= fits[bit.bit_length() - 1]
+                need ^= bit
+            while bits:
+                bit = bits & -bits
+                j, _, e = tail[bit.bit_length() - 1]
+                bits ^= bit
+                if e or edge_color >= 0:
+                    one_keys.append(key | j << shift)
+                    edge_colors.append(idx if e else edge_color)
+                else:
+                    zero_keys.append(key | j << shift)
+            return
+        low, flat = levels[idx]
+        for j, m, e in flat if edge_color >= 0 else low:
+            if cover:
+                if (full & ~(mask | m)).bit_count() > cap[idx + 1]:
+                    continue
+            elif mask & m:
+                continue
+            walk(idx + 1, mask | m, idx if e else edge_color, key | j << shift)
+
+    walk(0, 0, -1, 0)
+    return per_color, shifts, zero_keys, one_keys, edge_colors
+
+
 def _count_dims(per_color, require_cover, full, first_slice) -> dict[int, int]:
     """Count leaves of the product walk by dimension; parts carry only masks."""
     r = len(per_color)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -126,6 +127,7 @@ def parse_edge_list(text: str) -> SimpleGraph:
 
 
 GRAPH_FAMILIES = ("path", "star", "cycle", "complete")
+_FAMILY_LETTERS = {"P": "path", "T": "star", "C": "cycle", "K": "complete"}
 
 
 def generate_named(family: str, n: int) -> SimpleGraph:
@@ -145,6 +147,16 @@ def generate_named(family: str, n: int) -> SimpleGraph:
     else:
         raise ValueError(f"unknown family {family!r}; choose from {GRAPH_FAMILIES}")
     return SimpleGraph.from_edges(n, edges)
+
+
+def parse_graph_name(name: str) -> SimpleGraph:
+    """The named graph ``P7`` (path), ``T4`` (star), ``C5`` (cycle) or ``K5``
+    (complete); a size the family does not allow raises ``generate_named``'s
+    error."""
+    match = re.fullmatch(r"([PTCK])(\d+)", name)
+    if not match:
+        raise ValueError(f"--graph must look like K5, P3, T4 or C4, got {name!r}")
+    return generate_named(_FAMILY_LETTERS[match.group(1)], int(match.group(2)))
 
 
 def shortest_path(g: SimpleGraph, u: int, v: int, forbidden=()) -> tuple[int, ...]:

@@ -34,6 +34,10 @@ class PlanningError(ValueError):
     """A planner precondition does not hold."""
 
 
+class InternalPlanningError(PlanningError):
+    """A planner invariant failed: a defect in the planner, not in its input."""
+
+
 class HypothesisNotMetError(PlanningError):
     """The constructive planner's standing hypotheses fail (use plan_bfs)."""
 
@@ -90,9 +94,9 @@ class PlanVerification:
 
 
 def _ensure(holds: bool, what: str) -> None:
-    """Raise ``PlanningError`` when a planner invariant fails."""
+    """Raise ``InternalPlanningError`` when a planner invariant fails."""
     if not holds:
-        raise PlanningError(f"internal: {what}")
+        raise InternalPlanningError(f"internal: {what}")
 
 
 def _is_zero_cell(spec: ComplexSpec, cell: Cell) -> bool:
@@ -470,10 +474,7 @@ def _search_swap(state: _State, x: int, y: int, i: int, j: int) -> None:
     goal[i] ^= ends
     goal[j] ^= ends
     found = plan_bfs(state.spec, state.snapshot(), _decode(goal))
-    if found is None:
-        raise PlanningError(
-            f"no move sequence exchanges colors ({i}, {j}) between ({x}, {y})"
-        )
+    _ensure(found is not None, f"no move sequence exchanges colors ({i}, {j}) between ({x}, {y})")
     for mv in found.moves:
         state.move(mv.color, mv.source, mv.target)
 
@@ -707,7 +708,7 @@ def plan(spec: ComplexSpec, start: Cell, goal: Cell) -> MovePlan:
     result = MovePlan(spec, start, tuple(moves), goal)
     check = verify_plan(result)
     if not check:
-        raise PlanningError(f"internal: constructed plan fails replay at step {check.failed_at}")
+        raise InternalPlanningError(f"internal: constructed plan fails replay at step {check.failed_at}")
     return result
 
 

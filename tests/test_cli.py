@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from stirling_complexes.cli import main
+from stirling_complexes import PlanVerification
+from stirling_complexes.cli import EXIT_INTERNAL, main
 
 
 def run(capsys, *argv):
@@ -273,6 +274,27 @@ class TestPlanAndVerify:
         assert code == 1 and report["ok"] is False and report["failed_at"] == "2"
 
 
+class TestInternalErrors:
+    def test_internal_planner_failure_exits_five(self, capsys, monkeypatch):
+        import stirling_complexes.planner as planner
+
+        monkeypatch.setattr(planner, "verify_plan", lambda p: PlanVerification(False, 1))
+        code, out, err = run(
+            capsys,
+            "plan",
+            "--graph",
+            "P3",
+            "--colors",
+            "2,2,1",
+            "--start",
+            TestPlanAndVerify.START,
+            "--end",
+            TestPlanAndVerify.END,
+        )
+        assert code == EXIT_INTERNAL == 5
+        assert out == "" and err.startswith("error: internal: ")
+
+
 class TestUsageErrors:
     def test_both_graph_sources(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
@@ -295,7 +317,7 @@ class TestUsageErrors:
 
     def test_bad_family(self, capsys):
         code, _, err = run(capsys, "count", "--graph", "Q7", "--colors", "1,1")
-        assert code == 2 and "K5" in err
+        assert code == 2 and err == "error: --graph must look like K5, P3, T4 or C4, got 'Q7'\n"
 
     def test_bad_colors(self, capsys):
         code, _, _ = run(capsys, "count", "--graph", "P3", "--colors", "2,x")

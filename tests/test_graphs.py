@@ -9,6 +9,7 @@ from stirling_complexes import (
     generate_named,
     is_connected,
     parse_edge_list,
+    parse_graph_name,
     shortest_path,
 )
 
@@ -118,6 +119,29 @@ class TestGenerators:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             generate_named("wheel", 4)
+
+
+class TestParseGraphName:
+    @pytest.mark.parametrize(
+        "name,family,n",
+        [("P7", "path", 7), ("T4", "star", 4), ("C3", "cycle", 3), ("K5", "complete", 5)],
+    )
+    def test_families(self, name, family, n):
+        assert parse_graph_name(name) == generate_named(family, n)
+
+    @pytest.mark.parametrize("name", ["Q7", "P", "7", "p7", "P-1", "P7x", " P7", ""])
+    def test_malformed_names(self, name):
+        with pytest.raises(ValueError, match="must look like K5"):
+            parse_graph_name(name)
+
+    def test_error_names_the_option(self):
+        with pytest.raises(ValueError, match="^--graph must look like"):
+            parse_graph_name("W5")
+
+    @pytest.mark.parametrize("name,message", [("C2", "three vertices"), ("P0", "one vertex")])
+    def test_sizes_the_family_rejects(self, name, message):
+        with pytest.raises(ValueError, match=message):
+            parse_graph_name(name)
 
 
 class TestSimpleGraph:

@@ -9,6 +9,7 @@ from stirling_complexes import (
     ColorVector,
     ComplexSpec,
     HypothesisNotMetError,
+    InternalPlanningError,
     Move,
     PlanningError,
     PlanVerification,
@@ -574,6 +575,25 @@ class TestPlan:
         ucell = Cell.make([(0,), (1,), (2,)])
         with pytest.raises(HypothesisNotMetError, match="coverage"):
             plan(uncovered, ucell, ucell)
+
+
+    def test_replay_failure_is_internal(self, p3, monkeypatch):
+        import stirling_complexes.planner as planner
+
+        spec = ComplexSpec(p3, ColorVector((2, 2, 1)))
+        cells = list(enumerate_cells(spec, dim=0))
+        monkeypatch.setattr(planner, "verify_plan", lambda p: PlanVerification(False, 1))
+        with pytest.raises(InternalPlanningError, match="^internal: .*replay at step 1"):
+            plan(spec, cells[0], cells[-1])
+        assert issubclass(InternalPlanningError, PlanningError)
+
+    def test_user_errors_are_not_internal(self, p3):
+        spec = ComplexSpec(p3, ColorVector((2, 2, 1)))
+        cell = next(enumerate_cells(spec, dim=0))
+        bad = Cell.make([(0, 1), (0, 1), (0,)])
+        with pytest.raises(PlanningError, match="start") as exc:
+            plan(spec, bad, cell)
+        assert not isinstance(exc.value, InternalPlanningError)
 
 
 class TestPlanBfs:

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -7,16 +8,63 @@ from stirling_complexes import (
     ColorVector,
     ComplexSpec,
     EmptyComplexError,
+    SimpleGraph,
     boundary_endpoints,
     build_one_skeleton,
     connected_components,
     enumerate_cells,
     euler_characteristic,
     f_vector,
+    is_connected,
     is_valid_cell,
     parse_edge_list,
+    parse_graph_name,
 )
-from stirling_complexes.skeleton import skeleton_edge_list_text, skeleton_node_lines
+from stirling_complexes.cli import main
+from stirling_complexes.skeleton import SkeletonGraph, skeleton_edge_list_text, skeleton_node_lines
+
+
+def reference_skeleton(spec):
+    """The Cell-level construction: every 0- and 1-cell built as a Cell, each
+    arc found through boundary_endpoints."""
+    nodes = tuple(enumerate_cells(spec, dim=0))
+    if not nodes:
+        raise EmptyComplexError("the complex has no cells")
+    index = {cell: i for i, cell in enumerate(nodes)}
+    arcs = []
+    for one_cell in enumerate_cells(spec, dim=1):
+        a, b = boundary_endpoints(spec, one_cell)
+        arcs.append((index[a], index[b]))
+    return SkeletonGraph(nodes, tuple(arcs))
+
+
+def connected_graphs(n):
+    """Every connected simple graph on n vertices, one per isomorphism class:
+    brute force over edge subsets, deduplicated by the least relabelling."""
+    pairs = list(itertools.combinations(range(n), 2))
+    perms = list(itertools.permutations(range(n)))
+    seen = set()
+    out = []
+    for bits in range(1 << len(pairs)):
+        edges = [e for k, e in enumerate(pairs) if bits >> k & 1]
+        canon = min(
+            tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges)) for p in perms
+        )
+        if canon in seen:
+            continue
+        seen.add(canon)
+        g = SimpleGraph.from_edges(n, canon)
+        if is_connected(g):
+            out.append(g)
+    return out
+
+
+def color_vectors(n):
+    """Every ordered vector of 2 or 3 positive sizes with total at most n + 2."""
+    for r in (2, 3):
+        for sizes in itertools.product(range(1, n + 2), repeat=r):
+            if sum(sizes) <= n + 2:
+                yield sizes
 
 
 class TestBoundaryEndpoints:
@@ -79,6 +127,50 @@ class TestSkeleton:
         fv = f_vector(spec)
         assert len(sk.nodes) == fv[0]
         assert len(sk.arcs) == (fv[1] if len(fv) > 1 else 0)
+
+
+class TestDifferential:
+    """build_one_skeleton against the Cell-level reference: same nodes in the
+    same order, same arcs in the same order, same empty-complex error."""
+
+    @staticmethod
+    def check_all(n):
+        cases = 0
+        for g in connected_graphs(n):
+            for sizes in color_vectors(n):
+                for cover in (True, False):
+                    spec = ComplexSpec(g, ColorVector(sizes), require_cover=cover)
+                    try:
+                        expected = reference_skeleton(spec)
+                    except EmptyComplexError:
+                        with pytest.raises(EmptyComplexError):
+                            build_one_skeleton(spec)
+                    else:
+                        assert build_one_skeleton(spec) == expected, (g.edges, sizes, cover)
+                    cases += 1
+        return cases
+
+    def test_graph_census(self):
+        assert [len(connected_graphs(n)) for n in range(1, 6)] == [1, 1, 2, 6, 21]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_connected_graph(self, n):
+        assert self.check_all(n) > 0
+
+    @pytest.mark.slow
+    def test_every_connected_graph_on_five_vertices(self):
+        assert self.check_all(5) == 21 * 56 * 2
+
+    @pytest.mark.parametrize("graph,colors", [("P7", "3,3,2"), ("C10", "7,4")])
+    def test_export_matches_reference(self, graph, colors, tmp_path, capsys):
+        base = tmp_path / "sk"
+        argv = ["components", "--graph", graph, "--colors", colors, "--export-skeleton", str(base)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        ref = reference_skeleton(ComplexSpec(parse_graph_name(graph), ColorVector.parse(colors)))
+        assert base.with_suffix(".edgelist").read_bytes() == skeleton_edge_list_text(ref).encode()
+        nodes_text = "\n".join(skeleton_node_lines(ref)) + "\n"
+        assert base.with_suffix(".nodes").read_bytes() == nodes_text.encode()
 
 
 class TestComponents:
