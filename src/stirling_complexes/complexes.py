@@ -14,7 +14,7 @@ hexagon and 12-gon complexes.
 
 from __future__ import annotations
 
-import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,8 +27,6 @@ Element = Union[int, tuple[int, int]]
 
 # Cell counts per dimension.
 FVector = tuple[int, ...]
-
-WORKERS_ENV_VAR = "STIRLING_WORKERS"
 
 
 class EmptyComplexError(ValueError):
@@ -240,7 +238,8 @@ def is_valid_cell(spec: ComplexSpec, cell: Cell) -> bool:
 
 @dataclass(frozen=True)
 class _Part:
-    """A candidate part: elements plus precomputed masks for the product walk."""
+    """A candidate part: elements plus precomputed masks for the walks and the
+    f-vector DP."""
 
     elements: tuple
     closure: int
@@ -437,84 +436,42 @@ def _low_cells(spec: ComplexSpec):
     return per_color, shifts, zero_keys, one_keys, edge_colors
 
 
-def _count_dims(per_color, require_cover, full, first_slice) -> dict[int, int]:
-    """Count leaves of the product walk by dimension; parts carry only masks."""
-    r = len(per_color)
-    cover_cap, _, _ = _suffix_tables(per_color)
-    counts: dict[int, int] = {}
-
-    def walk(idx: int, covered: int, used: int, dims: int):
-        if idx == r:
-            counts[dims] = counts.get(dims, 0) + 1
-            return
-        for part in per_color[idx] if idx > 0 else first_slice:
-            if require_cover:
-                new_cov = covered | part.cover
-                if (full & ~new_cov).bit_count() > cover_cap[idx + 1]:
-                    continue
-                walk(idx + 1, new_cov, 0, dims + part.edge_count)
-            else:
-                if used & part.closure:
-                    continue
-                walk(idx + 1, 0, used | part.closure, dims + part.edge_count)
-
-    walk(0, 0, 0, 0)
-    return counts
-
-
-def _fvector_worker(payload):
-    per_color, require_cover, full, lo, hi = payload
-    return _count_dims(per_color, require_cover, full, per_color[0][lo:hi])
-
-
-def _resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
-def f_vector(spec: ComplexSpec, workers: int | None = None):
+def f_vector(spec: ComplexSpec):
     """Cell counts grouped by dimension.
 
     Covering complexes report ``max_dimension + 1`` entries (trailing zeros
     kept); with coverage off the length is the largest occupied dimension plus
-    one.  An empty complex reports the single entry ``(0,)``.  ``workers``
-    (default: the STIRLING_WORKERS environment variable) splits the outer
-    product level across processes; the counts are identical either way.
-    """
-    g = spec.graph
-    # Counts do not depend on the order of the colors, and the walk prunes
-    # best when the colors with the most candidate parts come first.
-    per_color = sorted(_parts_by_color(spec), key=len, reverse=True)
-    workers = _resolve_workers(workers)
-    if any(not parts for parts in per_color):
-        return (0,)
-    full = (1 << g.n) - 1
-    first = per_color[0]
-    if workers <= 1 or len(first) < 2 * workers:
-        counts = _count_dims(per_color, spec.require_cover, full, first)
-    else:
-        step = -(-len(first) // workers)
-        jobs = [
-            (per_color, spec.require_cover, full, lo, min(lo + step, len(first)))
-            for lo in range(0, len(first), step)
-        ]
-        from concurrent.futures import ProcessPoolExecutor
+    one.  An empty complex reports the single entry ``(0,)``.
 
-        counts = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_fvector_worker, jobs):
-                for d, k in chunk.items():
-                    counts[d] = counts.get(d, 0) + k
+    A dynamic program over vertex masks folds the colors in one at a time:
+    the state maps the union of the chosen parts' masks (vertex covers, or
+    closures with coverage off) to the number of partial cells per dimension,
+    and each color's parts enter grouped by (mask, edge count).
+    """
+    cover = spec.require_cover
+    state: dict[int, dict[int, int]] = {0: {0: 1}}
+    for parts in _parts_by_color(spec):
+        groups = Counter((p.cover if cover else p.closure, p.edge_count) for p in parts)
+        nxt: dict[int, dict[int, int]] = {}
+        for mask, dims in state.items():
+            for (m, e), k in groups.items():
+                # with coverage off the closures of all colors are disjoint
+                if not cover and mask & m:
+                    continue
+                acc = nxt.setdefault(mask | m, {})
+                for d, c in dims.items():
+                    acc[d + e] = acc.get(d + e, 0) + c * k
+        state = nxt
+    full = (1 << spec.graph.n) - 1
+    counts: dict[int, int] = {}
+    for mask, dims in state.items():
+        if cover and mask != full:
+            continue
+        for d, c in dims.items():
+            counts[d] = counts.get(d, 0) + c
     if not counts:
         return (0,)
-    length = (max_dimension(spec) if spec.require_cover else max(counts)) + 1
+    length = (max_dimension(spec) if cover else max(counts)) + 1
     if max(counts) >= length:
         raise RuntimeError(f"internal: a cell of dimension {max(counts)} exceeds {length - 1}")
     return tuple(counts.get(i, 0) for i in range(length))

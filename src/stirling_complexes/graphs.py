@@ -25,9 +25,9 @@ class NoPathError(ValueError):
 class SimpleGraph:
     """Undirected simple graph on dense vertex indices 0..n-1.
 
-    Edges are canonical ``(min, max)`` pairs with set semantics; loops and
-    duplicates are rejected.  Instances are immutable and hashable, so they can
-    be shared freely between concurrent workers.
+    Edges are canonical ``(min, max)`` pairs in strictly increasing order, so
+    loops, duplicates and unsorted edge tuples are rejected; cells built from
+    the graph inherit that order.  Instances are immutable and hashable.
     """
 
     n: int
@@ -36,16 +36,16 @@ class SimpleGraph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
-        seen = set()
+        prev = None
         for e in self.edges:
             u, v = e
             if u == v:
                 raise ValueError(f"loop edge {e}")
             if not 0 <= u < v < self.n:
                 raise ValueError(f"edge {e} is out of range or not in (min, max) form")
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
+            if prev is not None and e <= prev:
+                raise ValueError(f"edge {e} is a duplicate or out of order: edges must be sorted")
+            prev = e
 
     @classmethod
     def from_edges(cls, n: int, edges) -> SimpleGraph:

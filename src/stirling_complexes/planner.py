@@ -585,8 +585,16 @@ def _require_planner_hypotheses(spec: ComplexSpec) -> None:
         )
 
 
+def _verified(plan: MovePlan) -> MovePlan:
+    """Return a constructed plan once it replays; a failure is a planner defect."""
+    check = verify_plan(plan)
+    if not check:
+        raise InternalPlanningError(f"internal: constructed plan fails replay at step {check.failed_at}")
+    return plan
+
+
 def _finish(state: _State, start: Cell) -> MovePlan:
-    return MovePlan(state.spec, start, tuple(state.moves), state.snapshot())
+    return _verified(MovePlan(state.spec, start, tuple(state.moves), state.snapshot()))
 
 
 def leapfrog(spec: ComplexSpec, cell: Cell, z: int, path, k: int) -> MovePlan:
@@ -705,11 +713,7 @@ def plan(spec: ComplexSpec, start: Cell, goal: Cell) -> MovePlan:
     _realize_profile(fwd, [set(s) for s in bwd.occ])
     _ensure(fwd.masks == bwd.masks, "the forward and backward halves of the plan do not meet")
     moves = list(fwd.moves) + [mv.flipped() for mv in reversed(bwd.moves)]
-    result = MovePlan(spec, start, tuple(moves), goal)
-    check = verify_plan(result)
-    if not check:
-        raise InternalPlanningError(f"internal: constructed plan fails replay at step {check.failed_at}")
-    return result
+    return _verified(MovePlan(spec, start, tuple(moves), goal))
 
 
 def plan_bfs(spec: ComplexSpec, start: Cell, goal: Cell) -> MovePlan | None:

@@ -3,7 +3,14 @@ import itertools
 import hypothesis
 import pytest
 
-from stirling_complexes import Cell, ComplexSpec, SimpleGraph, generate_named, is_valid_cell
+from stirling_complexes import (
+    Cell,
+    ComplexSpec,
+    SimpleGraph,
+    generate_named,
+    is_connected,
+    is_valid_cell,
+)
 
 hypothesis.settings.register_profile("suite", max_examples=40, deadline=None)
 hypothesis.settings.load_profile("suite")
@@ -75,3 +82,32 @@ def all_simple_paths(g: SimpleGraph, u: int, v: int):
 
     dfs(u, {u}, [u])
     return out
+
+
+def connected_graphs(n):
+    """Every connected simple graph on n vertices, one per isomorphism class:
+    brute force over edge subsets, deduplicated by the least relabelling."""
+    pairs = list(itertools.combinations(range(n), 2))
+    perms = list(itertools.permutations(range(n)))
+    seen = set()
+    out = []
+    for bits in range(1 << len(pairs)):
+        edges = [e for k, e in enumerate(pairs) if bits >> k & 1]
+        canon = min(
+            tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges)) for p in perms
+        )
+        if canon in seen:
+            continue
+        seen.add(canon)
+        g = SimpleGraph.from_edges(n, canon)
+        if is_connected(g):
+            out.append(g)
+    return out
+
+
+def color_vectors(n):
+    """Every ordered vector of 2 or 3 positive sizes with total at most n + 2."""
+    for r in (2, 3):
+        for sizes in itertools.product(range(1, n + 2), repeat=r):
+            if sum(sizes) <= n + 2:
+                yield sizes

@@ -1,9 +1,10 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import brute_force_cells
+from conftest import brute_force_cells, color_vectors, connected_graphs
 from stirling_complexes import (
     Cell,
     ColorVector,
@@ -23,7 +24,25 @@ from stirling_complexes import (
     occupancy_difference,
     parse_cell,
     same_type,
+    two_one_cell_counts,
+    uniform_cell_counts,
 )
+
+
+def closed_form(spec):
+    """The closed-form f-vector for the families the CLI checks, else None."""
+    n, sizes = spec.graph.n, spec.colors.sizes
+    if not spec.require_cover or n < 2:
+        return None
+    if len(sizes) == n and sorted(sizes, reverse=True) == [2] + [1] * (n - 1):
+        return two_one_cell_counts(spec.graph)
+    if len(sizes) >= 2 and all(l == n - 1 for l in sizes):
+        return uniform_cell_counts(spec.graph, len(sizes))
+    return None
+
+
+def pad(fv, width):
+    return tuple(fv) + (0,) * (width - len(fv))
 
 
 def small_spec_strategy():
@@ -257,18 +276,39 @@ class TestCoverOffFixtures:
         assert ordered == tuple(2 * x for x in unordered)
 
 
-class TestWorkers:
-    def test_worker_split_agrees(self, k4):
-        spec = ComplexSpec(k4, ColorVector((2, 1, 1, 1)))
-        assert f_vector(spec, workers=3) == f_vector(spec, workers=1)
+class TestCountingDifferential:
+    """f_vector against the enumerate_cells walk, counted per dimension, and
+    against the closed forms where the CLI applies them."""
 
-    def test_env_var_controls_workers(self, p3, monkeypatch):
-        spec = ComplexSpec(p3, ColorVector((2, 2, 1)))
-        monkeypatch.setenv("STIRLING_WORKERS", "2")
-        assert f_vector(spec) == (21, 32, 10)
-        monkeypatch.setenv("STIRLING_WORKERS", "zebra")
-        with pytest.raises(ValueError):
-            f_vector(spec)
+    @staticmethod
+    def check_all(n):
+        cases = 0
+        for g in connected_graphs(n):
+            for sizes in color_vectors(n):
+                for cover in (True, False):
+                    spec = ComplexSpec(g, ColorVector(sizes), require_cover=cover)
+                    dims = Counter(cell.dimension for cell in enumerate_cells(spec))
+                    fv = f_vector(spec)
+                    if not dims:
+                        assert fv == (0,), (g.edges, sizes, cover)
+                    else:
+                        length = (max_dimension(spec) if cover else max(dims)) + 1
+                        walked = tuple(dims.get(d, 0) for d in range(length))
+                        assert fv == walked, (g.edges, sizes, cover)
+                    formula = closed_form(spec)
+                    if formula is not None:
+                        width = max(len(fv), len(formula))
+                        assert pad(fv, width) == pad(formula, width), (g.edges, sizes)
+                    cases += 1
+        return cases
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_connected_graph(self, n):
+        assert self.check_all(n) > 0
+
+    @pytest.mark.slow
+    def test_every_connected_graph_on_five_vertices(self):
+        assert self.check_all(5) == 21 * 56 * 2
 
 
 class TestColorOrder:

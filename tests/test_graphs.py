@@ -155,6 +155,11 @@ class TestSimpleGraph:
         with pytest.raises(ValueError):
             SimpleGraph(-1, ())
 
+    def test_unsorted_edges_rejected(self):
+        # cells built from these edges would not be in canonical form
+        with pytest.raises(ValueError, match="out of order"):
+            SimpleGraph(4, ((2, 3), (0, 1)))
+
     @given(random_graph_strategy())
     def test_degree_sum_is_twice_edge_count(self, g):
         assert sum(g.degrees) == 2 * g.m

@@ -9,7 +9,8 @@ PACKAGE_DIR = Path(stirling_complexes.__file__).resolve().parent
 
 
 def test_import_loads_no_process_pool():
-    """The worker pool's module is imported only when f_vector starts a pool."""
+    """The package starts no process pool, and importing it (or its CLI) must
+    not load the pool module, ``concurrent.futures.process``, either."""
     probe = (
         "import sys, stirling_complexes, stirling_complexes.cli; "
         "print('concurrent.futures.process' in sys.modules)"

@@ -587,6 +587,24 @@ class TestPlan:
             plan(spec, cells[0], cells[-1])
         assert issubclass(InternalPlanningError, PlanningError)
 
+    @pytest.mark.parametrize("helper", ["leapfrog", "swap_third", "swap_colors", "same_type_plan"])
+    def test_public_helpers_replay_what_they_return(self, helper, p3, monkeypatch):
+        import stirling_complexes.planner as planner
+
+        spec = ComplexSpec(p3, ColorVector((2, 2, 1)))
+        cell = Cell.make([(0, 1), (1, 2), (2,)])
+        p2 = ComplexSpec(generate_named("path", 2), ColorVector((1, 1, 1)))
+        call = {
+            "leapfrog": lambda: leapfrog(spec, Cell.make([(0, 1), (0, 2), (0,)]), 0, (0, 1), 2),
+            "swap_third": lambda: swap_third(p2, Cell.make([(0,), (0,), (1,)]), 0, 1, (0, 1), 1, 2),
+            "swap_colors": lambda: swap_colors(spec, cell, 1, 2, 0, 2),
+            "same_type_plan": lambda: same_type_plan(spec, cell, Cell.make([(1, 2), (0, 1), (2,)])),
+        }[helper]
+        assert verify_plan(call())
+        monkeypatch.setattr(planner, "verify_plan", lambda p: PlanVerification(False, 1))
+        with pytest.raises(InternalPlanningError, match="^internal: .*replay at step 1"):
+            call()
+
     def test_user_errors_are_not_internal(self, p3):
         spec = ComplexSpec(p3, ColorVector((2, 2, 1)))
         cell = next(enumerate_cells(spec, dim=0))

@@ -1,21 +1,19 @@
-import itertools
 from collections import Counter
 
 import pytest
 
+from conftest import color_vectors, connected_graphs
 from stirling_complexes import (
     Cell,
     ColorVector,
     ComplexSpec,
     EmptyComplexError,
-    SimpleGraph,
     boundary_endpoints,
     build_one_skeleton,
     connected_components,
     enumerate_cells,
     euler_characteristic,
     f_vector,
-    is_connected,
     is_valid_cell,
     parse_edge_list,
     parse_graph_name,
@@ -36,35 +34,6 @@ def reference_skeleton(spec):
         a, b = boundary_endpoints(spec, one_cell)
         arcs.append((index[a], index[b]))
     return SkeletonGraph(nodes, tuple(arcs))
-
-
-def connected_graphs(n):
-    """Every connected simple graph on n vertices, one per isomorphism class:
-    brute force over edge subsets, deduplicated by the least relabelling."""
-    pairs = list(itertools.combinations(range(n), 2))
-    perms = list(itertools.permutations(range(n)))
-    seen = set()
-    out = []
-    for bits in range(1 << len(pairs)):
-        edges = [e for k, e in enumerate(pairs) if bits >> k & 1]
-        canon = min(
-            tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges)) for p in perms
-        )
-        if canon in seen:
-            continue
-        seen.add(canon)
-        g = SimpleGraph.from_edges(n, canon)
-        if is_connected(g):
-            out.append(g)
-    return out
-
-
-def color_vectors(n):
-    """Every ordered vector of 2 or 3 positive sizes with total at most n + 2."""
-    for r in (2, 3):
-        for sizes in itertools.product(range(1, n + 2), repeat=r):
-            if sum(sizes) <= n + 2:
-                yield sizes
 
 
 class TestBoundaryEndpoints:
