@@ -64,10 +64,27 @@ def _load_graph(args) -> SimpleGraph:
             return parse_graph_name(args.graph)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    path = Path(args.graph_file)
-    if not path.exists():
-        raise UsageError(f"graph file {path} does not exist")
-    return parse_edge_list(path.read_text())
+    return parse_edge_list(_read_text(args.graph_file, "graph file"))
+
+
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of an input file; a file that cannot be read is a usage error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise UsageError(f"{what} {path} does not exist") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"{what} {path} is not UTF-8 text") from None
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write an output file; a path that cannot be written is a usage error."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _load_spec(args) -> ComplexSpec:
@@ -186,8 +203,8 @@ def cmd_components(args) -> int:
     }
     if args.export_skeleton:
         base = Path(args.export_skeleton)
-        base.with_suffix(".edgelist").write_text(skeleton_edge_list_text(sk))
-        base.with_suffix(".nodes").write_text("\n".join(skeleton_node_lines(sk)) + "\n")
+        _write_text(base.with_suffix(".edgelist"), skeleton_edge_list_text(sk))
+        _write_text(base.with_suffix(".nodes"), "\n".join(skeleton_node_lines(sk)) + "\n")
     _emit(report, args.format)
     return EXIT_OK
 
@@ -211,7 +228,7 @@ def cmd_plan(args) -> int:
             return EXIT_EMPTY_OR_UNREACHABLE
     text = format_plan(result)
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text(Path(args.out), text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -219,10 +236,7 @@ def cmd_plan(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _load_spec(args)
-    path = Path(args.plan_file)
-    if not path.exists():
-        raise UsageError(f"plan file {path} does not exist")
-    result = parse_plan(spec, path.read_text())
+    result = parse_plan(spec, _read_text(args.plan_file, "plan file"))
     check = verify_plan(result)
     report = {
         "ok": check.ok,

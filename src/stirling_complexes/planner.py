@@ -8,9 +8,15 @@ through pairwise swaps.  It requires a connected graph and a non-trivial color
 vector with at least three colors; outside those hypotheses only the
 breadth-first planner applies.
 
+Each swap across an edge takes the first of three tiers that applies: two
+direct moves when either end has a spare robot, a borrowed third-colored
+robot relayed in and back, and otherwise a bidirectional breadth-first
+search for that one swap.
+
 Plans are deterministic: every free choice (borrowed color, donor vertex,
-path) resolves to the smallest index, and graph paths are lexicographically
-smallest breadth-first shortest paths.
+path) resolves to the smallest index, graph paths are lexicographically
+smallest breadth-first shortest paths, and the swap search expands states in
+a fixed order.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .complexes import (
     occupancy,
     parse_cell,
 )
-from .graphs import NoPathError, is_connected, shortest_path
+from .graphs import is_connected, shortest_path
 
 
 class PlanningError(ValueError):
@@ -334,22 +340,14 @@ def _swap_third(state: _State, z: int, w: int, path, i: int, k: int) -> None:
         state.move(i, z, nxt)
 
 
-def _borrow_swap(state: _State, x: int, y: int, i: int, j: int) -> None:
-    """Swap across the edge (x, y) when neither end has a spare robot but some
-    available vertex carries a third color.
+def _borrow_swap(state: _State, x: int, y: int, i: int, j: int, z: int, k: int) -> None:
+    """Swap across the edge (x, y), neither end having a spare robot, by
+    borrowing the k robot of the available vertex ``z`` (k is neither i nor j).
 
-    A third-colored robot is relayed onto the nearer of the two ends (whose
-    shortest path provably misses the other end), the two-move swap runs, and
-    the relay is undone by replaying it backwards.
+    The k robot is relayed onto the nearer of the two ends (whose shortest
+    path provably misses the other end), the two-move swap runs, and the relay
+    is undone by replaying it backwards.
     """
-    z = k = None
-    for v in range(state.graph.n):
-        if state.available(v):
-            spare = sorted(state.colors_at(v) - {i, j})
-            if spare:
-                z, k = v, spare[0]
-                break
-    _ensure(z is not None, "borrow_swap: no available vertex has a third color")
     to_x = shortest_path(state.graph, z, x)
     to_y = shortest_path(state.graph, z, y)
     path, target, other = (to_x, x, y) if len(to_x) <= len(to_y) else (to_y, y, x)
@@ -368,7 +366,9 @@ def _borrow_swap(state: _State, x: int, y: int, i: int, j: int) -> None:
 
 
 def _swap_adjacent(state: _State, x: int, y: int, i: int, j: int) -> None:
-    """Swap the i robot on x with the j robot on y across the edge (x, y)."""
+    """Swap the i robot on x with the j robot on y across the edge (x, y):
+    directly, else with the smallest third color of the first available
+    vertex that has one, else by search."""
     if state.available(x):
         state.move(i, x, y)
         state.move(j, y, x)
@@ -378,104 +378,58 @@ def _swap_adjacent(state: _State, x: int, y: int, i: int, j: int) -> None:
         state.move(i, x, y)
         return
     _ensure(state.colors_at(x) == {i} and state.colors_at(y) == {j}, "swap_adjacent: bare ends")
-    has_spare = any(
-        state.available(v) and (state.colors_at(v) - {i, j})
-        for v in range(state.graph.n)
-    )
-    if has_spare:
-        _borrow_swap(state, x, y, i, j)
-    else:
-        _relocated_third_swap(state, x, y, i, j)
-
-
-def _relocated_third_swap(state: _State, x: int, y: int, i: int, j: int) -> None:
-    """Swap across (x, y) when every available vertex carries exactly the two
-    swapped colors.
-
-    A lone third-colored robot is first exchanged onto an available vertex,
-    which reduces to the borrowed-robot case; afterwards the exchange is
-    undone.  Preferred: fetch along a path avoiding x and y, so the fetch can
-    be replayed backwards verbatim.  Otherwise fetch through them and send the
-    spare robot home by a second exchange along a path clear of the color that
-    rode out.  When no fetch-and-return combination exists (possible on sparse
-    graphs where x and y separate every spare robot from every available
-    vertex), fall back to a breadth-first search for this one swap.
-    """
-    g = state.graph
-    z = next(v for v in range(g.n) if state.available(v))
-    _ensure(state.colors_at(z) == {i, j}, "relocated_third_swap: z has a third color")
-    spares = [k for k in range(state.spec.colors.r) if k not in (i, j)]
-
-    for k in spares:
-        carriers = sorted(v for v in range(g.n) if k in state.colors_at(v))
-        reach = []
-        for w in carriers:
-            try:
-                p = shortest_path(g, z, w, forbidden=(x, y))
-            except NoPathError:
-                continue
-            reach.append((len(p), w, p))
-        if not reach:
-            continue
-        _, w, path = min(reach)
-        if any(k in state.colors_at(v) for v in path[1:-1]):
-            continue
-        mark = len(state.moves)
-        _swap_third(state, z, w, path, i, k)
-        fetched = len(state.moves)
-        _borrow_swap(state, x, y, i, j)
-        for mv in reversed(state.moves[mark:fetched]):
-            state.move(mv.color, mv.target, mv.source)
-        return
-
-    # Fetch straight through x or y.  The returning exchange needs a path
-    # clear of the color that rode out, so predict the post-swap carriers of
-    # both candidate colors and pick a workable combination before mutating.
-    for k in spares:
-        carriers = sorted(v for v in range(g.n) if k in state.colors_at(v))
-        options = []
-        for w in carriers:
-            try:
-                p = shortest_path(g, z, w)
-            except NoPathError:
-                continue
-            options.append((len(p), w, p))
-        for _, w, path in sorted(options):
-            if any(k in state.colors_at(v) for v in path[1:-1]):
-                continue
-            for rider, gains in ((i, y), (j, x)):
-                blocked = {
-                    v
-                    for v in range(g.n)
-                    if rider in state.colors_at(v) and v not in (z, x, y, w)
-                }
-                blocked.add(gains)
-                try:
-                    back = shortest_path(g, z, w, forbidden=tuple(blocked))
-                except NoPathError:
-                    continue
-                _swap_third(state, z, w, path, rider, k)
-                _borrow_swap(state, x, y, i, j)
-                _swap_third(state, z, w, back, k, rider)
+    for z in range(state.graph.n):
+        if state.available(z):
+            spare = state.colors_at(z) - {i, j}
+            if spare:
+                _borrow_swap(state, x, y, i, j, z, min(spare))
                 return
-
     _search_swap(state, x, y, i, j)
 
 
 def _search_swap(state: _State, x: int, y: int, i: int, j: int) -> None:
-    """Realize a single swap by breadth-first search over reachable 0-cells.
+    """Swap across the bare edge (x, y) when every available vertex carries
+    exactly the colors i and j, by a bidirectional breadth-first search.
 
-    Last resort for the corner the constructive fetch cannot serve; the goal
-    is reachable whenever the complex is path-connected, which the calling
-    hypotheses guarantee.
+    One search starts from the current state, the other from the same state
+    with x and y exchanged between i and j; each round grows the smaller
+    frontier by one level.  The move graph is undirected, so the first state
+    reached from both sides lies on a shortest move sequence, and the fixed
+    expansion order makes it deterministic.  The goal is reachable whenever
+    the complex is path-connected, as the calling hypotheses guarantee.  The
+    moves are replayed through the working state, which checks each one.
     """
-    goal = list(state.masks)
     ends = (1 << x) | (1 << y)
-    goal[i] ^= ends
-    goal[j] ^= ends
-    found = plan_bfs(state.spec, state.snapshot(), _decode(goal))
-    _ensure(found is not None, f"no move sequence exchanges colors ({i}, {j}) between ({x}, {y})")
-    for mv in found.moves:
+    goal = tuple(m ^ ends if c in (i, j) else m for c, m in enumerate(state.masks))
+    # Each side maps a reached state to its parent toward that side's root
+    # and the move from the parent to it.
+    sides = ({state.masks: None}, {goal: None})
+    fronts = [[state.masks], [goal]]
+    meet = None
+    while meet is None and fronts[0] and fronts[1]:
+        side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+        seen, other = sides[side], sides[1 - side]
+        layer = []
+        for current in fronts[side]:
+            for mv, nxt in _successors(state.spec, current):
+                if nxt in seen:
+                    continue
+                seen[nxt] = (current, mv)
+                if nxt in other:
+                    meet = nxt
+                    break
+                layer.append(nxt)
+            if meet is not None:
+                break
+        fronts[side] = layer
+    _ensure(meet is not None, f"no move sequence exchanges colors ({i}, {j}) between ({x}, {y})")
+    forward, backward = [], []
+    for parents, half in zip(sides, (forward, backward)):
+        current = meet
+        while parents[current] is not None:
+            current, mv = parents[current]
+            half.append(mv)
+    for mv in forward[::-1] + [mv.flipped() for mv in backward]:
         state.move(mv.color, mv.source, mv.target)
 
 

@@ -333,6 +333,33 @@ class TestUsageErrors:
         )
         assert code == 2 and "does not exist" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["count", "--graph-file", "DIR", "--colors", "1,1"], "cannot read graph file"),
+            (["count", "--graph-file", "LATIN1", "--colors", "1,1"], "not UTF-8"),
+            (["verify", "--graph", "P3", "--colors", "2,2,1", "--plan-file", "DIR"], "cannot read plan file"),
+            (
+                ["plan", "--graph", "P3", "--colors", "2,2,1", "--start", "{0,1}|{0,2}|{0}",
+                 "--end", "{1,2}|{0,2}|{2}", "--out", "DIR/missing/plan.txt"],
+                "cannot write",
+            ),
+            (
+                ["components", "--graph", "P3", "--colors", "2,2,1",
+                 "--export-skeleton", "DIR/missing/sk"],
+                "cannot write",
+            ),
+        ],
+        ids=["graph-file-dir", "graph-file-not-utf8", "plan-file-dir", "out-missing-dir", "export-missing-dir"],
+    )
+    def test_file_errors_exit_two(self, argv, message, capsys, tmp_path):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("2 1\n0 1 # caf\u00e9\n".encode("latin-1"))
+        argv = [a.replace("DIR", str(tmp_path)).replace("LATIN1", str(latin1)) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_bad_edge_list_reports_line(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("3 1\n0 0\n")

@@ -4,6 +4,7 @@ from collections import deque
 
 import pytest
 
+from conftest import color_vectors, connected_graphs
 from stirling_complexes import (
     Cell,
     ColorVector,
@@ -20,6 +21,7 @@ from stirling_complexes import (
     enumerate_cells,
     format_plan,
     generate_named,
+    is_nontrivial,
     is_valid_cell,
     is_valid_move,
     leapfrog,
@@ -441,33 +443,39 @@ class TestSwapColors:
 
     def test_spare_fetched_around_the_swap(self, k4):
         """Both ends bare, every stacked vertex holds only the two swap colors,
-        and the spare robot is reachable without crossing the swap edge."""
+        and the spare robot is reachable without crossing the swap edge; the
+        swap is found by search, as short as the breadth-first optimum."""
         spec = ComplexSpec(k4, ColorVector((2, 2, 1)))
         cell = Cell.make([(0, 2), (1, 2), (3,)])
         result = swap_colors(spec, cell, 0, 1, 0, 1)
         assert verify_plan(result)
+        assert len(result.moves) == len(plan_bfs(spec, cell, result.end).moves)
         after = occ_map(k4, result.end)
         assert after == [{1}, {0}, {0, 1}, {2}]
 
     def test_spare_fetched_through_the_swap(self):
-        """The only route to the spare robot runs through a swap endpoint, so
-        the fetch is undone by an explicit return exchange."""
+        """Both ends bare, and the only route to the spare robot runs through
+        a swap endpoint; the swap is found by search, as short as the
+        breadth-first optimum."""
         g = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
         spec = ComplexSpec(g, ColorVector((2, 2, 1)))
         cell = Cell.make([(0, 1), (0, 2), (3,)])
         result = swap_colors(spec, cell, 1, 2, 0, 1)
         assert verify_plan(result)
+        assert len(result.moves) == len(plan_bfs(spec, cell, result.end).moves)
         after = occ_map(g, result.end)
         assert after == [{0, 1}, {1}, {0}, {2}]
 
     def test_spare_cut_off_entirely_falls_back_to_search(self):
         """The swap endpoints separate the spare robot from the stacked vertex
-        in both directions; the swap is found by search instead."""
+        in both directions; the swap is found by search, as short as the
+        breadth-first optimum."""
         g = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 3)])
         spec = ComplexSpec(g, ColorVector((1, 2, 2)))
         cell = Cell.make([(3,), (0, 2), (1, 2)])
         result = swap_colors(spec, cell, 0, 1, 1, 2)
         assert verify_plan(result)
+        assert len(result.moves) == len(plan_bfs(spec, cell, result.end).moves)
         after = occ_map(g, result.end)
         assert after == [{2}, {1}, {1, 2}, {0}]
 
@@ -612,6 +620,54 @@ class TestPlan:
         with pytest.raises(PlanningError, match="start") as exc:
             plan(spec, bad, cell)
         assert not isinstance(exc.value, InternalPlanningError)
+
+
+class TestPlanningDifferential:
+    """On every connected graph with at most five vertices and every
+    non-trivial three-color vector, seeded pairs of 0-cells get a plan that
+    replays, without an internal failure, and is never shorter than plan_bfs."""
+
+    PAIRS = 30
+
+    def check_all(self, ns, monkeypatch):
+        import stirling_complexes.planner as planner
+
+        searches = []
+        search_swap = planner._search_swap
+
+        def counted(*args):
+            searches.append(args)
+            search_swap(*args)
+
+        monkeypatch.setattr(planner, "_search_swap", counted)
+        complexes = 0
+        for n in ns:
+            for g in connected_graphs(n):
+                for sizes in color_vectors(n):
+                    spec = ComplexSpec(g, ColorVector(sizes))
+                    if len(sizes) != 3 or not is_nontrivial(spec):
+                        continue
+                    cells = list(enumerate_cells(spec, dim=0))
+                    if not cells:
+                        continue
+                    rng = random.Random(f"{g.edges}:{sizes}")
+                    for _ in range(self.PAIRS):
+                        a, b = rng.choice(cells), rng.choice(cells)
+                        result = plan(spec, a, b)
+                        assert verify_plan(result) and result.end == b, (g.edges, sizes, a, b)
+                        optimum = plan_bfs(spec, a, b)
+                        assert len(result.moves) >= len(optimum.moves), (g.edges, sizes, a, b)
+                    complexes += 1
+        return complexes, len(searches)
+
+    def test_every_connected_graph(self, monkeypatch):
+        complexes, searches = self.check_all((1, 2, 3, 4), monkeypatch)
+        assert complexes == 91 and searches > 0
+
+    @pytest.mark.slow
+    def test_every_connected_graph_on_five_vertices(self, monkeypatch):
+        complexes, searches = self.check_all((5,), monkeypatch)
+        assert complexes == 462 and searches > 0
 
 
 class TestPlanBfs:
