@@ -1,4 +1,5 @@
-"""Cells of grouped Stirling complexes: validity, enumeration, f-vectors.
+"""Cells of grouped Stirling complexes: validity, enumeration, f-vectors,
+and the 0- and 1-cells that make up the 1-skeleton.
 
 A complex is determined by a simple graph and a color vector (l_1, ..., l_r):
 color i owns l_i robots.  A cell assigns each color a set of vertices and
@@ -17,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .graphs import SimpleGraph
 
@@ -247,6 +249,19 @@ class _Part:
     edge_count: int
 
 
+def _endpoint_table(parts) -> dict[int, tuple[int, int]]:
+    """Map each one-edge part to the two vertex-only parts that replace its
+    edge (u, v) by u and by v; the u-part comes first in canonical order."""
+    flat = {p.cover: j for j, p in enumerate(parts) if p.edge_count == 0}
+    table = {}
+    for j, p in enumerate(parts):
+        if p.edge_count == 1:
+            # vertices precede edges in a part, so the one edge comes last
+            u, v = p.elements[-1]
+            table[j] = (flat[p.cover | 1 << u], flat[p.cover | 1 << v])
+    return table
+
+
 def valid_parts(g: SimpleGraph, size: int) -> tuple[_Part, ...]:
     """All size-subsets of vertices and edges whose members are pairwise
     disjoint, in canonical order."""
@@ -277,6 +292,7 @@ def valid_parts(g: SimpleGraph, size: int) -> tuple[_Part, ...]:
             chosen.pop()
 
     extend(0, [], 0)
+    del extend  # a closure that calls itself is a cycle; free it now, not at a full collection
     return tuple(out)
 
 
@@ -290,23 +306,9 @@ def _parts_by_color(spec: ComplexSpec) -> list[tuple[_Part, ...]]:
     return out
 
 
-def _suffix_tables(per_color):
-    r = len(per_color)
-    cover_cap = [0] * (r + 1)
-    min_edges = [0] * (r + 1)
-    max_edges = [0] * (r + 1)
-    for idx in range(r - 1, -1, -1):
-        parts = per_color[idx]
-        best_cover = 0
-        lo, hi = None, 0
-        for p in parts:
-            best_cover = max(best_cover, p.cover.bit_count())
-            lo = p.edge_count if lo is None else min(lo, p.edge_count)
-            hi = max(hi, p.edge_count)
-        cover_cap[idx] = cover_cap[idx + 1] + best_cover
-        min_edges[idx] = min_edges[idx + 1] + (lo or 0)
-        max_edges[idx] = max_edges[idx + 1] + hi
-    return cover_cap, min_edges, max_edges
+def _suffix_sums(values) -> list[int]:
+    """``out[idx] = sum(values[idx:])``, with a trailing 0."""
+    return list(accumulate(reversed(values), initial=0))[::-1]
 
 
 def enumerate_cells(spec: ComplexSpec, dim: int | None = None):
@@ -322,7 +324,11 @@ def enumerate_cells(spec: ComplexSpec, dim: int | None = None):
         return
     r = len(per_color)
     full = (1 << g.n) - 1
-    cover_cap, min_edges, max_edges = _suffix_tables(per_color)
+    # A color with any part has one of vertices only (a part of size s needs
+    # s <= n), so colors idx.. cover at most sum(sizes[idx:]) vertices and
+    # add between 0 and max_edges[idx] edges.
+    cap = _suffix_sums(spec.colors.sizes)
+    max_edges = _suffix_sums([max(p.edge_count for p in parts) for parts in per_color])
     bound = max_dimension(spec) if spec.require_cover else None
     chosen: list[_Part] = []
 
@@ -334,11 +340,11 @@ def enumerate_cells(spec: ComplexSpec, dim: int | None = None):
             return
         for part in per_color[idx]:
             d = dims + part.edge_count
-            if dim is not None and not (d + min_edges[idx + 1] <= dim <= d + max_edges[idx + 1]):
+            if dim is not None and not (d <= dim <= d + max_edges[idx + 1]):
                 continue
             if spec.require_cover:
                 new_cov = covered | part.cover
-                if (full & ~new_cov).bit_count() > cover_cap[idx + 1]:
+                if (full & ~new_cov).bit_count() > cap[idx + 1]:
                     continue
                 chosen.append(part)
                 yield from walk(idx + 1, new_cov, 0, d)
@@ -353,38 +359,39 @@ def enumerate_cells(spec: ComplexSpec, dim: int | None = None):
     yield from walk(0, 0, 0, 0)
 
 
-def _low_cells(spec: ComplexSpec):
-    """The per-color parts plus every 0- and 1-cell as a key of part indices.
+def _one_skeleton(spec: ComplexSpec) -> tuple[tuple[Cell, ...], tuple[tuple[int, int], ...]]:
+    """The 0-cells in canonical order, and one pair of 0-cell indices per
+    1-cell, also in canonical order: the 1-skeleton.
 
-    One walk over the parts with at most one edge, in canonical order.  A key
-    is an int that holds color i's part index in bits ``shifts[i]`` to
+    One walk over the parts with at most one edge records each cell as a key,
+    an int that holds color i's part index in bits ``shifts[i]`` to
     ``shifts[i + 1]``; ints, unlike tuples, are not tracked by the garbage
-    collector, so thousands of keys per complex cost it nothing.  Returns the
-    parts, the shifts, the 0-cell keys, the 1-cell keys and, parallel to
-    those, the color whose part holds each 1-cell's edge.
+    collector, so thousands of keys per complex cost it nothing.  A 1-cell has
+    one one-edge part, and its endpoints swap that part for the two
+    vertex-only parts of :func:`_endpoint_table`, so the walk carries the two
+    key offsets that make the swap.  Only the 0-cells are built as ``Cell``.
     """
     g = spec.graph
     sizes = spec.colors.sizes
     per_color = _parts_by_color(spec)
     cover = spec.require_cover
     full = (1 << g.n) - 1
-    # per group size: (part index, cover or closure mask, edge count) of the
-    # parts with at most one edge, and the vertex-only ones among them
+    # per group size: (part index, cover or closure mask, endpoint parts or
+    # None) of the parts with at most one edge, and the vertex-only ones
     by_size = {}
     for size, parts in zip(sizes, per_color):
         if size not in by_size:
+            ends = _endpoint_table(parts)
             low = tuple(
-                (j, p.cover if cover else p.closure, p.edge_count)
+                (j, p.cover if cover else p.closure, ends.get(j))
                 for j, p in enumerate(parts)
                 if p.edge_count <= 1
             )
-            by_size[size] = (low, tuple(x for x in low if x[2] == 0))
+            by_size[size] = (low, tuple(x for x in low if x[2] is None))
     levels = [by_size[size] for size in sizes]
     last = len(sizes) - 1
     # cap[idx]: the most vertices that colors idx.. can still cover
-    cap = [0] * (last + 2)
-    for idx in range(last, -1, -1):
-        cap[idx] = cap[idx + 1] + max((m.bit_count() for _, m, _ in levels[idx][0]), default=0)
+    cap = _suffix_sums(sizes)
     # The last color is indexed by vertex: bit k of fits[v] says that its k-th
     # low part covers v (covering) or keeps clear of v (coverage off), so the
     # parts that complete a prefix are one AND per missing or used vertex.
@@ -395,19 +402,21 @@ def _low_cells(spec: ComplexSpec):
             if bool(m >> v & 1) == cover:
                 fits[v] |= 1 << k
     tail_any = (1 << len(tail)) - 1
-    tail_flat = sum(1 << k for k, x in enumerate(tail) if x[2] == 0)
+    tail_flat = sum(1 << k for k, x in enumerate(tail) if x[2] is None)
     shifts = [0]
     for parts in per_color:
         shifts.append(shifts[-1] + len(parts).bit_length())
 
     zero_keys: list[int] = []
-    one_keys: list[int] = []
-    edge_colors: list[int] = []
+    first_ends: list[int] = []
+    second_ends: list[int] = []
 
-    def walk(idx: int, mask: int, edge_color: int, key: int):
+    # off_a and off_b turn a 1-cell's key into its endpoints' keys; they are 0
+    # until a one-edge part is chosen and nonzero after, as its index is not theirs
+    def walk(idx: int, mask: int, key: int, off_a: int, off_b: int):
         shift = shifts[idx]
         if idx == last:
-            bits = tail_flat if edge_color >= 0 else tail_any
+            bits = tail_flat if off_a else tail_any
             need = full & ~mask if cover else mask
             while need:
                 bit = need & -need
@@ -415,25 +424,39 @@ def _low_cells(spec: ComplexSpec):
                 need ^= bit
             while bits:
                 bit = bits & -bits
-                j, _, e = tail[bit.bit_length() - 1]
+                j, _, ends = tail[bit.bit_length() - 1]
                 bits ^= bit
-                if e or edge_color >= 0:
-                    one_keys.append(key | j << shift)
-                    edge_colors.append(idx if e else edge_color)
+                cell = key | j << shift
+                if ends:
+                    a, b = ends
+                    first_ends.append(key | a << shift)
+                    second_ends.append(key | b << shift)
+                elif off_a:
+                    first_ends.append(cell + off_a)
+                    second_ends.append(cell + off_b)
                 else:
-                    zero_keys.append(key | j << shift)
+                    zero_keys.append(cell)
             return
         low, flat = levels[idx]
-        for j, m, e in flat if edge_color >= 0 else low:
+        for j, m, ends in flat if off_a else low:
             if cover:
                 if (full & ~(mask | m)).bit_count() > cap[idx + 1]:
                     continue
             elif mask & m:
                 continue
-            walk(idx + 1, mask | m, idx if e else edge_color, key | j << shift)
+            if ends:
+                a, b = ends
+                walk(idx + 1, mask | m, key | j << shift, (a - j) << shift, (b - j) << shift)
+            else:
+                walk(idx + 1, mask | m, key | j << shift, off_a, off_b)
 
-    walk(0, 0, -1, 0)
-    return per_color, shifts, zero_keys, one_keys, edge_colors
+    walk(0, 0, 0, 0, 0)
+    del walk  # a closure that calls itself is a cycle; free it now, not at a full collection
+    fields = [(parts, s, (1 << len(parts).bit_length()) - 1) for parts, s in zip(per_color, shifts)]
+    nodes = tuple(Cell(tuple(parts[key >> s & m].elements for parts, s, m in fields)) for key in zero_keys)
+    number = {key: i for i, key in enumerate(zero_keys)}
+    arcs = tuple(zip(map(number.__getitem__, first_ends), map(number.__getitem__, second_ends)))
+    return nodes, arcs
 
 
 def f_vector(spec: ComplexSpec):

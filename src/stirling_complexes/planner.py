@@ -387,6 +387,17 @@ def _swap_adjacent(state: _State, x: int, y: int, i: int, j: int) -> None:
     _search_swap(state, x, y, i, j)
 
 
+def _moves_back(parents: dict, state: _Masks) -> list[Move]:
+    """The moves on the parent chain from ``state`` back to its root, last
+    move first; ``parents`` maps each state to its parent and the move from
+    the parent to it, or to None at the root."""
+    moves = []
+    while parents[state] is not None:
+        state, mv = parents[state]
+        moves.append(mv)
+    return moves
+
+
 def _search_swap(state: _State, x: int, y: int, i: int, j: int) -> None:
     """Swap across the bare edge (x, y) when every available vertex carries
     exactly the colors i and j, by a bidirectional breadth-first search.
@@ -423,13 +434,9 @@ def _search_swap(state: _State, x: int, y: int, i: int, j: int) -> None:
                 break
         fronts[side] = layer
     _ensure(meet is not None, f"no move sequence exchanges colors ({i}, {j}) between ({x}, {y})")
-    forward, backward = [], []
-    for parents, half in zip(sides, (forward, backward)):
-        current = meet
-        while parents[current] is not None:
-            current, mv = parents[current]
-            half.append(mv)
-    for mv in forward[::-1] + [mv.flipped() for mv in backward]:
+    forward = _moves_back(sides[0], meet)[::-1]
+    backward = [mv.flipped() for mv in _moves_back(sides[1], meet)]
+    for mv in forward + backward:
         state.move(mv.color, mv.source, mv.target)
 
 
@@ -687,12 +694,7 @@ def plan_bfs(spec: ComplexSpec, start: Cell, goal: Cell) -> MovePlan | None:
                 continue
             parent[nxt] = (state, mv)
             if nxt == target:
-                moves: list[Move] = []
-                while parent[nxt] is not None:
-                    nxt, mv = parent[nxt]
-                    moves.append(mv)
-                moves.reverse()
-                return MovePlan(spec, start, tuple(moves), goal)
+                return MovePlan(spec, start, tuple(_moves_back(parent, nxt)[::-1]), goal)
             queue.append(nxt)
     return None
 

@@ -1,7 +1,9 @@
 """The 1-skeleton of a complex: 0-cells as nodes, 1-cells as arcs.
 
 Connectivity of the whole complex is decided here: higher cells never join
-components that their own 0-dimensional corners do not already join.
+components that their own 0-dimensional corners do not already join.  The
+nodes and arcs come from ``complexes``, the one module that knows how cells
+are keyed; this module labels components and writes the exports.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from .complexes import (
     Cell,
     ComplexSpec,
     EmptyComplexError,
-    _low_cells,
+    _one_skeleton,
     cell_sort_key,
     format_cell,
     is_edge_element,
@@ -55,47 +57,17 @@ def boundary_endpoints(spec: ComplexSpec, cell: Cell) -> tuple[Cell, Cell]:
     return pair[0], pair[1]
 
 
-def _endpoint_table(parts) -> dict[int, tuple[int, int]]:
-    """Map each one-edge part to the two vertex-only parts that replace its
-    edge (u, v) by u and by v; the u-part comes first in canonical order."""
-    flat = {p.cover: j for j, p in enumerate(parts) if p.edge_count == 0}
-    table = {}
-    for j, p in enumerate(parts):
-        if p.edge_count == 1:
-            # vertices precede edges in a part, so the one edge comes last
-            u, v = p.elements[-1]
-            table[j] = (flat[p.cover | 1 << u], flat[p.cover | 1 << v])
-    return table
-
-
 def build_one_skeleton(spec: ComplexSpec) -> SkeletonGraph:
-    """Assemble nodes from the 0-cells and one arc per 1-cell.
+    """Nodes from the 0-cells and one arc per 1-cell, both in canonical order.
 
-    The 0- and 1-cells come from one walk as int keys of part indices.  A
-    1-cell's endpoints swap its one-edge part for the two vertex-only parts
-    of :func:`_endpoint_table`; only the 0-cells are built as ``Cell``.
+    ``complexes`` finds both in one walk over the candidate parts and builds
+    only the 0-cells as ``Cell``; an arc joins the two 0-cells that replace
+    its 1-cell's edge by one endpoint and by the other.
     """
-    per_color, shifts, zero_keys, one_keys, edge_colors = _low_cells(spec)
-    if not zero_keys:
+    nodes, arcs = _one_skeleton(spec)
+    if not nodes:
         raise EmptyComplexError("the complex has no cells")
-    tables = {}
-    fields = []
-    for i, (size, parts) in enumerate(zip(spec.colors.sizes, per_color)):
-        if size not in tables:
-            tables[size] = _endpoint_table(parts)
-        fields.append((parts, shifts[i], (1 << (shifts[i + 1] - shifts[i])) - 1, tables[size]))
-    nodes = tuple(
-        Cell(tuple(parts[(key >> s) & m].elements for parts, s, m, _ in fields)) for key in zero_keys
-    )
-    number = {key: i for i, key in enumerate(zero_keys)}
-    arcs = []
-    for key, c in zip(one_keys, edge_colors):
-        _, s, m, ends = fields[c]
-        j = (key >> s) & m
-        a, b = ends[j]
-        rest = key ^ (j << s)
-        arcs.append((number[rest | (a << s)], number[rest | (b << s)]))
-    return SkeletonGraph(nodes, tuple(arcs))
+    return SkeletonGraph(nodes, arcs)
 
 
 def component_labels(sk: SkeletonGraph) -> tuple[int, tuple[int, ...]]:

@@ -278,7 +278,8 @@ class TestCoverOffFixtures:
 
 class TestCountingDifferential:
     """f_vector against the enumerate_cells walk, counted per dimension, and
-    against the closed forms where the CLI applies them."""
+    against the closed forms where the CLI applies them; enumerate_cells with
+    dim= against the full walk filtered to that dimension."""
 
     @staticmethod
     def check_all(n):
@@ -287,7 +288,11 @@ class TestCountingDifferential:
             for sizes in color_vectors(n):
                 for cover in (True, False):
                     spec = ComplexSpec(g, ColorVector(sizes), require_cover=cover)
-                    dims = Counter(cell.dimension for cell in enumerate_cells(spec))
+                    cells = list(enumerate_cells(spec))
+                    dims = Counter(cell.dimension for cell in cells)
+                    for d in range(max(dims, default=0) + 2):
+                        expected = [cell for cell in cells if cell.dimension == d]
+                        assert list(enumerate_cells(spec, dim=d)) == expected, (g.edges, sizes, cover, d)
                     fv = f_vector(spec)
                     if not dims:
                         assert fv == (0,), (g.edges, sizes, cover)

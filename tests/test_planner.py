@@ -1,6 +1,6 @@
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -625,21 +625,27 @@ class TestPlan:
 class TestPlanningDifferential:
     """On every connected graph with at most five vertices and every
     non-trivial three-color vector, seeded pairs of 0-cells get a plan that
-    replays, without an internal failure, and is never shorter than plan_bfs."""
+    replays, without an internal failure, and is never shorter than plan_bfs;
+    the sample reaches both the borrowed-robot tier and the search tier."""
 
     PAIRS = 30
 
     def check_all(self, ns, monkeypatch):
         import stirling_complexes.planner as planner
 
-        searches = []
-        search_swap = planner._search_swap
+        calls = Counter()
 
-        def counted(*args):
-            searches.append(args)
-            search_swap(*args)
+        def counting(name):
+            tier = getattr(planner, name)
 
-        monkeypatch.setattr(planner, "_search_swap", counted)
+            def counted(*args):
+                calls[name] += 1
+                tier(*args)
+
+            monkeypatch.setattr(planner, name, counted)
+
+        counting("_borrow_swap")
+        counting("_search_swap")
         complexes = 0
         for n in ns:
             for g in connected_graphs(n):
@@ -658,16 +664,16 @@ class TestPlanningDifferential:
                         optimum = plan_bfs(spec, a, b)
                         assert len(result.moves) >= len(optimum.moves), (g.edges, sizes, a, b)
                     complexes += 1
-        return complexes, len(searches)
+        return complexes, calls
 
     def test_every_connected_graph(self, monkeypatch):
-        complexes, searches = self.check_all((1, 2, 3, 4), monkeypatch)
-        assert complexes == 91 and searches > 0
+        complexes, calls = self.check_all((1, 2, 3, 4), monkeypatch)
+        assert complexes == 91 and calls["_borrow_swap"] > 0 and calls["_search_swap"] > 0
 
     @pytest.mark.slow
     def test_every_connected_graph_on_five_vertices(self, monkeypatch):
-        complexes, searches = self.check_all((5,), monkeypatch)
-        assert complexes == 462 and searches > 0
+        complexes, calls = self.check_all((5,), monkeypatch)
+        assert complexes == 462 and calls["_borrow_swap"] > 0 and calls["_search_swap"] > 0
 
 
 class TestPlanBfs:

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 
 import pytest
@@ -140,6 +141,23 @@ class TestDifferential:
         assert base.with_suffix(".edgelist").read_bytes() == skeleton_edge_list_text(ref).encode()
         nodes_text = "\n".join(skeleton_node_lines(ref)) + "\n"
         assert base.with_suffix(".nodes").read_bytes() == nodes_text.encode()
+
+
+class TestNoCyclicGarbage:
+    def test_calls_leave_nothing_for_the_cycle_collector(self):
+        """The walks behind the 1-skeleton and the candidate parts are closures
+        that call themselves; each is freed on return, so a call leaves no
+        unreachable objects for a full collection to find."""
+        spec = ComplexSpec(parse_graph_name("C7"), ColorVector((3, 3, 2)))
+        gc.collect()
+        gc.disable()
+        try:
+            build_one_skeleton(spec)
+            assert gc.collect() == 0
+            f_vector(spec)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestComponents:
