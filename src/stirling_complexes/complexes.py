@@ -1,5 +1,6 @@
 """Cells of grouped Stirling complexes: validity, enumeration, f-vectors,
-and the 0- and 1-cells that make up the 1-skeleton.
+and the 0- and 1-cells that make up the 1-skeleton, keyed as the planner
+keys a 0-cell: one vertex mask per color.
 
 A complex is determined by a simple graph and a color vector (l_1, ..., l_r):
 color i owns l_i robots.  A cell assigns each color a set of vertices and
@@ -249,19 +250,6 @@ class _Part:
     edge_count: int
 
 
-def _endpoint_table(parts) -> dict[int, tuple[int, int]]:
-    """Map each one-edge part to the two vertex-only parts that replace its
-    edge (u, v) by u and by v; the u-part comes first in canonical order."""
-    flat = {p.cover: j for j, p in enumerate(parts) if p.edge_count == 0}
-    table = {}
-    for j, p in enumerate(parts):
-        if p.edge_count == 1:
-            # vertices precede edges in a part, so the one edge comes last
-            u, v = p.elements[-1]
-            table[j] = (flat[p.cover | 1 << u], flat[p.cover | 1 << v])
-    return table
-
-
 def valid_parts(g: SimpleGraph, size: int) -> tuple[_Part, ...]:
     """All size-subsets of vertices and edges whose members are pairwise
     disjoint, in canonical order."""
@@ -356,7 +344,10 @@ def enumerate_cells(spec: ComplexSpec, dim: int | None = None):
                 yield from walk(idx + 1, 0, used | part.closure, d)
                 chosen.pop()
 
-    yield from walk(0, 0, 0, 0)
+    try:
+        yield from walk(0, 0, 0, 0)
+    finally:
+        del walk  # a closure that calls itself is a cycle, also when the caller stops early
 
 
 def _one_skeleton(spec: ComplexSpec) -> tuple[tuple[Cell, ...], tuple[tuple[int, int], ...]]:
@@ -364,30 +355,32 @@ def _one_skeleton(spec: ComplexSpec) -> tuple[tuple[Cell, ...], tuple[tuple[int,
     1-cell, also in canonical order: the 1-skeleton.
 
     One walk over the parts with at most one edge records each cell as a key,
-    an int that holds color i's part index in bits ``shifts[i]`` to
-    ``shifts[i + 1]``; ints, unlike tuples, are not tracked by the garbage
-    collector, so thousands of keys per complex cost it nothing.  A 1-cell has
-    one one-edge part, and its endpoints swap that part for the two
-    vertex-only parts of :func:`_endpoint_table`, so the walk carries the two
-    key offsets that make the swap.  Only the 0-cells are built as ``Cell``.
+    an int that holds color i's vertex mask (``_Part.cover``) in bits ``i*n``
+    to ``(i+1)*n``, as the planner encodes a 0-cell; ints, unlike tuples, are
+    not tracked by the garbage collector, so thousands of keys per complex
+    cost it nothing.  A 1-cell has one one-edge part, and its two endpoints
+    are its key with one or the other end of that edge added to the part's
+    mask, so the walk carries those two bits.  Only the 0-cells are built as
+    ``Cell``.
     """
-    g = spec.graph
+    n = spec.graph.n
     sizes = spec.colors.sizes
-    per_color = _parts_by_color(spec)
     cover = spec.require_cover
-    full = (1 << g.n) - 1
-    # per group size: (part index, cover or closure mask, endpoint parts or
-    # None) of the parts with at most one edge, and the vertex-only ones
+    full = (1 << n) - 1
+    # per group size: (cover or closure mask, vertex mask, end bits of the
+    # edge or None) of the parts with at most one edge, the vertex-only ones
+    # among them, and the vertex-only parts' elements by vertex mask
     by_size = {}
-    for size, parts in zip(sizes, per_color):
+    for size, parts in zip(sizes, _parts_by_color(spec)):
         if size not in by_size:
-            ends = _endpoint_table(parts)
-            low = tuple(
-                (j, p.cover if cover else p.closure, ends.get(j))
-                for j, p in enumerate(parts)
-                if p.edge_count <= 1
-            )
-            by_size[size] = (low, tuple(x for x in low if x[2] is None))
+            low = []
+            for p in parts:
+                if p.edge_count <= 1:
+                    # vertices precede edges in a part, so the one edge comes last
+                    ends = tuple(1 << v for v in p.elements[-1]) if p.edge_count else None
+                    low.append((p.cover if cover else p.closure, p.cover, ends))
+            elements = {p.cover: p.elements for p in parts if p.edge_count == 0}
+            by_size[size] = (low, [x for x in low if x[2] is None], elements)
     levels = [by_size[size] for size in sizes]
     last = len(sizes) - 1
     # cap[idx]: the most vertices that colors idx.. can still cover
@@ -396,27 +389,24 @@ def _one_skeleton(spec: ComplexSpec) -> tuple[tuple[Cell, ...], tuple[tuple[int,
     # low part covers v (covering) or keeps clear of v (coverage off), so the
     # parts that complete a prefix are one AND per missing or used vertex.
     tail = levels[last][0]
-    fits = [0] * g.n
-    for k, (_, m, _) in enumerate(tail):
-        for v in range(g.n):
+    fits = [0] * n
+    for k, (m, _, _) in enumerate(tail):
+        for v in range(n):
             if bool(m >> v & 1) == cover:
                 fits[v] |= 1 << k
     tail_any = (1 << len(tail)) - 1
     tail_flat = sum(1 << k for k, x in enumerate(tail) if x[2] is None)
-    shifts = [0]
-    for parts in per_color:
-        shifts.append(shifts[-1] + len(parts).bit_length())
 
     zero_keys: list[int] = []
     first_ends: list[int] = []
     second_ends: list[int] = []
 
-    # off_a and off_b turn a 1-cell's key into its endpoints' keys; they are 0
-    # until a one-edge part is chosen and nonzero after, as its index is not theirs
-    def walk(idx: int, mask: int, key: int, off_a: int, off_b: int):
-        shift = shifts[idx]
+    # end_a and end_b are the shifted end bits of the chosen one-edge part's
+    # edge, the u-end first; both are 0 until a one-edge part is chosen
+    def walk(idx: int, mask: int, key: int, end_a: int, end_b: int):
+        shift = idx * n
         if idx == last:
-            bits = tail_flat if off_a else tail_any
+            bits = tail_flat if end_a else tail_any
             need = full & ~mask if cover else mask
             while need:
                 bit = need & -need
@@ -424,21 +414,21 @@ def _one_skeleton(spec: ComplexSpec) -> tuple[tuple[Cell, ...], tuple[tuple[int,
                 need ^= bit
             while bits:
                 bit = bits & -bits
-                j, _, ends = tail[bit.bit_length() - 1]
+                _, c, ends = tail[bit.bit_length() - 1]
                 bits ^= bit
-                cell = key | j << shift
+                cell = key | c << shift
                 if ends:
                     a, b = ends
-                    first_ends.append(key | a << shift)
-                    second_ends.append(key | b << shift)
-                elif off_a:
-                    first_ends.append(cell + off_a)
-                    second_ends.append(cell + off_b)
+                    first_ends.append(cell | a << shift)
+                    second_ends.append(cell | b << shift)
+                elif end_a:
+                    first_ends.append(cell | end_a)
+                    second_ends.append(cell | end_b)
                 else:
                     zero_keys.append(cell)
             return
-        low, flat = levels[idx]
-        for j, m, ends in flat if off_a else low:
+        low, flat, _ = levels[idx]
+        for m, c, ends in flat if end_a else low:
             if cover:
                 if (full & ~(mask | m)).bit_count() > cap[idx + 1]:
                     continue
@@ -446,14 +436,14 @@ def _one_skeleton(spec: ComplexSpec) -> tuple[tuple[Cell, ...], tuple[tuple[int,
                 continue
             if ends:
                 a, b = ends
-                walk(idx + 1, mask | m, key | j << shift, (a - j) << shift, (b - j) << shift)
+                walk(idx + 1, mask | m, key | c << shift, a << shift, b << shift)
             else:
-                walk(idx + 1, mask | m, key | j << shift, off_a, off_b)
+                walk(idx + 1, mask | m, key | c << shift, end_a, end_b)
 
     walk(0, 0, 0, 0, 0)
     del walk  # a closure that calls itself is a cycle; free it now, not at a full collection
-    fields = [(parts, s, (1 << len(parts).bit_length()) - 1) for parts, s in zip(per_color, shifts)]
-    nodes = tuple(Cell(tuple(parts[key >> s & m].elements for parts, s, m in fields)) for key in zero_keys)
+    decode = [elements for _, _, elements in levels]
+    nodes = tuple(Cell(tuple(els[key >> i * n & full] for i, els in enumerate(decode))) for key in zero_keys)
     number = {key: i for i, key in enumerate(zero_keys)}
     arcs = tuple(zip(map(number.__getitem__, first_ends), map(number.__getitem__, second_ends)))
     return nodes, arcs

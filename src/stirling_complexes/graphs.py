@@ -126,8 +126,8 @@ def parse_edge_list(text: str) -> SimpleGraph:
     return SimpleGraph(n, tuple(sorted(edges)))
 
 
-GRAPH_FAMILIES = ("path", "star", "cycle", "complete")
-_FAMILY_LETTERS = {"P": "path", "T": "star", "C": "cycle", "K": "complete"}
+# The named graph families, keyed by the letter that names them in ``parse_graph_name``.
+GRAPH_FAMILIES = {"P": "path", "T": "star", "C": "cycle", "K": "complete"}
 
 
 def generate_named(family: str, n: int) -> SimpleGraph:
@@ -145,7 +145,7 @@ def generate_named(family: str, n: int) -> SimpleGraph:
     elif family == "complete":
         edges = list(combinations(range(n), 2))
     else:
-        raise ValueError(f"unknown family {family!r}; choose from {GRAPH_FAMILIES}")
+        raise ValueError(f"unknown family {family!r}; choose from {tuple(GRAPH_FAMILIES.values())}")
     return SimpleGraph.from_edges(n, edges)
 
 
@@ -156,7 +156,7 @@ def parse_graph_name(name: str) -> SimpleGraph:
     match = re.fullmatch(r"([PTCK])(\d+)", name)
     if not match:
         raise ValueError(f"--graph must look like K5, P3, T4 or C4, got {name!r}")
-    return generate_named(_FAMILY_LETTERS[match.group(1)], int(match.group(2)))
+    return generate_named(GRAPH_FAMILIES[match.group(1)], int(match.group(2)))
 
 
 def shortest_path(g: SimpleGraph, u: int, v: int, forbidden=()) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -69,6 +70,22 @@ class TestCount:
         )
         assert code == 0
         assert json.loads(out)["f_vector"] == ["12", "12"]
+
+
+class TestParserReuse:
+    def test_count_leaves_nothing_for_the_cycle_collector(self, capsys):
+        """main builds its parser on the first call and reuses it, so a later
+        call leaves no argparse cycles behind.  A json report would still
+        leave the cycles of the standard library's indenting json encoder."""
+        argv = ["count", "--graph", "C7", "--colors", "3,3,2", "--format", "tsv"]
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestEnumerate:

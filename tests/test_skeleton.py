@@ -131,6 +131,12 @@ class TestDifferential:
     def test_every_connected_graph_on_five_vertices(self):
         assert self.check_all(5) == 21 * 56 * 2
 
+    def test_key_wider_than_a_machine_word(self):
+        """P33 with two singleton colors and coverage off has a cell key of
+        n * r = 66 bits."""
+        spec = ComplexSpec(parse_graph_name("P33"), ColorVector((1, 1)), require_cover=False)
+        assert build_one_skeleton(spec) == reference_skeleton(spec)
+
     @pytest.mark.parametrize("graph,colors", [("P7", "3,3,2"), ("C10", "7,4")])
     def test_export_matches_reference(self, graph, colors, tmp_path, capsys):
         base = tmp_path / "sk"
@@ -155,6 +161,27 @@ class TestNoCyclicGarbage:
             build_one_skeleton(spec)
             assert gc.collect() == 0
             f_vector(spec)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec: list(enumerate_cells(spec)),
+            lambda spec: list(enumerate_cells(spec, dim=0)),
+            lambda spec: next(enumerate_cells(spec)),
+        ],
+        ids=["all", "dim0", "abandoned"],
+    )
+    def test_enumeration_leaves_nothing_for_the_cycle_collector(self, call):
+        """enumerate_cells frees its self-calling walk when the generator
+        finishes or is dropped before it finishes."""
+        spec = ComplexSpec(parse_graph_name("C7"), ColorVector((3, 3, 2)))
+        gc.collect()
+        gc.disable()
+        try:
+            call(spec)
             assert gc.collect() == 0
         finally:
             gc.enable()
