@@ -17,6 +17,13 @@ Plans are deterministic: every free choice (borrowed color, donor vertex,
 path) resolves to the smallest index, graph paths are lexicographically
 smallest breadth-first shortest paths, and the swap search expands states in
 a fixed order.
+
+The constructive planner and the replay hold a 0-cell as one vertex mask per
+color.  The two breadth-first searches, ``plan_bfs`` and the swap search, key
+each state as one int in the 1-skeleton's layout (color c's mask in bits
+``c*n`` to ``(c+1)*n``) and store only parent keys; a ``Move`` is built only
+for the moves on the returned path, read from the two bits in which a key
+differs from its parent.
 """
 
 from __future__ import annotations
@@ -109,7 +116,8 @@ def _is_zero_cell(spec: ComplexSpec, cell: Cell) -> bool:
     return cell.dimension == 0 and is_valid_cell(spec, cell)
 
 
-# A 0-cell as the planner moves it: one vertex bitmask per color.
+# A 0-cell as the planner moves it: one vertex bitmask per color.  The two
+# breadth-first searches pack the masks into one int key (``_pack``).
 _Masks = tuple[int, ...]
 
 
@@ -145,23 +153,57 @@ def _move_rule(spec: ComplexSpec, state: _Masks) -> tuple[int, int]:
     return -1, occupied
 
 
-def _successors(spec: ComplexSpec, state: _Masks):
-    """Yield ``(Move, next_state)`` for every legal move, by color, then source
-    vertex ascending, then target in adjacency order."""
-    leave, blocked = _move_rule(spec, state)
-    adjacency = spec.graph.adjacency
+def _pack(n: int, state: _Masks) -> int:
+    """A state as one int key: color c's vertex mask in bits ``c*n`` to
+    ``(c+1)*n``, the layout that ``complexes._one_skeleton`` keys cells by."""
+    key = 0
     for color, mask in enumerate(state):
-        closed = mask | blocked
-        movable = mask & leave
-        while movable:
-            low = movable & -movable
-            movable ^= low
-            u = low.bit_length() - 1
-            for v in adjacency[u]:
-                if not closed >> v & 1:
-                    nxt = list(state)
-                    nxt[color] = mask ^ low ^ (1 << v)
-                    yield Move(color, u, v), tuple(nxt)
+        key |= mask << color * n
+    return key
+
+
+def _expander(spec: ComplexSpec):
+    """The successor function of the move graph on int keys.
+
+    ``expand(key)`` lists the key of every state one legal move away, by
+    color, then source vertex ascending, then target ascending (adjacency
+    order, as adjacency lists are sorted).  Legality is ``_move_rule``'s.
+    """
+    n, r = spec.graph.n, spec.colors.r
+    full = (1 << n) - 1
+    shifts = tuple(color * n for color in range(r))
+    neighbors = tuple(sum(1 << v for v in adj) for adj in spec.graph.adjacency)
+
+    def expand(key: int) -> list[int]:
+        state = [key >> shift & full for shift in shifts]
+        leave, blocked = _move_rule(spec, state)
+        out = []
+        for shift, mask in zip(shifts, state):
+            enterable = ~(mask | blocked)
+            movable = mask & leave
+            while movable:
+                low = movable & -movable
+                movable ^= low
+                base = key ^ low << shift
+                targets = neighbors[low.bit_length() - 1] & enterable
+                while targets:
+                    high = targets & -targets
+                    targets ^= high
+                    out.append(base | high << shift)
+        return out
+
+    return expand
+
+
+def _move_between(n: int, before: int, after: int) -> Move:
+    """The move that turns key ``before`` into key ``after``: the color is the
+    field of the two changed bits, the source the one ``before`` holds."""
+    diff = before ^ after
+    color = (diff.bit_length() - 1) // n
+    shift = color * n
+    source = (before & diff).bit_length() - 1
+    target = (after & diff).bit_length() - 1
+    return Move(color, source - shift, target - shift)
 
 
 def _step(spec: ComplexSpec, state: _Masks, move: Move) -> _Masks | None:
@@ -387,14 +429,14 @@ def _swap_adjacent(state: _State, x: int, y: int, i: int, j: int) -> None:
     _search_swap(state, x, y, i, j)
 
 
-def _moves_back(parents: dict, state: _Masks) -> list[Move]:
-    """The moves on the parent chain from ``state`` back to its root, last
-    move first; ``parents`` maps each state to its parent and the move from
-    the parent to it, or to None at the root."""
+def _moves_back(n: int, parents: dict[int, int | None], key: int) -> list[Move]:
+    """The moves on the parent chain from ``key`` back to its root, last move
+    first; ``parents`` maps each key to its parent key, or to None at the
+    root."""
     moves = []
-    while parents[state] is not None:
-        state, mv = parents[state]
-        moves.append(mv)
+    while (parent := parents[key]) is not None:
+        moves.append(_move_between(n, parent, key))
+        key = parent
     return moves
 
 
@@ -410,22 +452,24 @@ def _search_swap(state: _State, x: int, y: int, i: int, j: int) -> None:
     the complex is path-connected, as the calling hypotheses guarantee.  The
     moves are replayed through the working state, which checks each one.
     """
+    n = state.graph.n
+    expand = _expander(state.spec)
+    root = _pack(n, state.masks)
     ends = (1 << x) | (1 << y)
-    goal = tuple(m ^ ends if c in (i, j) else m for c, m in enumerate(state.masks))
-    # Each side maps a reached state to its parent toward that side's root
-    # and the move from the parent to it.
-    sides = ({state.masks: None}, {goal: None})
-    fronts = [[state.masks], [goal]]
+    goal = root ^ ends << i * n ^ ends << j * n
+    # Each side maps a reached key to its parent toward that side's root.
+    sides = ({root: None}, {goal: None})
+    fronts = [[root], [goal]]
     meet = None
     while meet is None and fronts[0] and fronts[1]:
         side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
         seen, other = sides[side], sides[1 - side]
         layer = []
         for current in fronts[side]:
-            for mv, nxt in _successors(state.spec, current):
+            for nxt in expand(current):
                 if nxt in seen:
                     continue
-                seen[nxt] = (current, mv)
+                seen[nxt] = current
                 if nxt in other:
                     meet = nxt
                     break
@@ -434,8 +478,8 @@ def _search_swap(state: _State, x: int, y: int, i: int, j: int) -> None:
                 break
         fronts[side] = layer
     _ensure(meet is not None, f"no move sequence exchanges colors ({i}, {j}) between ({x}, {y})")
-    forward = _moves_back(sides[0], meet)[::-1]
-    backward = [mv.flipped() for mv in _moves_back(sides[1], meet)]
+    forward = _moves_back(n, sides[0], meet)[::-1]
+    backward = [mv.flipped() for mv in _moves_back(n, sides[1], meet)]
     for mv in forward + backward:
         state.move(mv.color, mv.source, mv.target)
 
@@ -683,18 +727,21 @@ def plan_bfs(spec: ComplexSpec, start: Cell, goal: Cell) -> MovePlan | None:
     _require_zero_cell(spec, start, "start")
     _require_zero_cell(spec, goal, "goal")
     if start == goal:
-        return MovePlan(spec, start, (), goal)
-    source, target = _encode(start), _encode(goal)
-    parent: dict[_Masks, tuple[_Masks, Move] | None] = {source: None}
+        return _verified(MovePlan(spec, start, (), goal))
+    n = spec.graph.n
+    expand = _expander(spec)
+    source, target = _pack(n, _encode(start)), _pack(n, _encode(goal))
+    parent: dict[int, int | None] = {source: None}
     queue = deque([source])
     while queue:
-        state = queue.popleft()
-        for mv, nxt in _successors(spec, state):
+        key = queue.popleft()
+        for nxt in expand(key):
             if nxt in parent:
                 continue
-            parent[nxt] = (state, mv)
+            parent[nxt] = key
             if nxt == target:
-                return MovePlan(spec, start, tuple(_moves_back(parent, nxt)[::-1]), goal)
+                moves = tuple(_moves_back(n, parent, nxt)[::-1])
+                return _verified(MovePlan(spec, start, moves, goal))
             queue.append(nxt)
     return None
 

@@ -595,7 +595,9 @@ class TestPlan:
             plan(spec, cells[0], cells[-1])
         assert issubclass(InternalPlanningError, PlanningError)
 
-    @pytest.mark.parametrize("helper", ["leapfrog", "swap_third", "swap_colors", "same_type_plan"])
+    @pytest.mark.parametrize(
+        "helper", ["leapfrog", "swap_third", "swap_colors", "same_type_plan", "plan_bfs"]
+    )
     def test_public_helpers_replay_what_they_return(self, helper, p3, monkeypatch):
         import stirling_complexes.planner as planner
 
@@ -607,6 +609,7 @@ class TestPlan:
             "swap_third": lambda: swap_third(p2, Cell.make([(0,), (0,), (1,)]), 0, 1, (0, 1), 1, 2),
             "swap_colors": lambda: swap_colors(spec, cell, 1, 2, 0, 2),
             "same_type_plan": lambda: same_type_plan(spec, cell, Cell.make([(1, 2), (0, 1), (2,)])),
+            "plan_bfs": lambda: plan_bfs(spec, cell, Cell.make([(1, 2), (0, 1), (2,)])),
         }[helper]
         assert verify_plan(call())
         monkeypatch.setattr(planner, "verify_plan", lambda p: PlanVerification(False, 1))
@@ -700,6 +703,61 @@ class TestPlanBfs:
         assert result is not None and verify_plan(result)
 
 
+class TestExpander:
+    """For every 0-cell, the int-key expander behind both breadth-first
+    searches lists exactly the moves that the public is_valid_move and
+    apply_move accept, in (color, source, adjacency) order: the order that
+    plan_bfs's canonical shortest plans depend on."""
+
+    @staticmethod
+    def expanded(spec, cell):
+        """The expander's successors of a 0-cell, as (Move, Cell) pairs."""
+        import stirling_complexes.planner as planner
+
+        n, r = spec.graph.n, spec.colors.r
+        full = (1 << n) - 1
+        key = planner._pack(n, planner._encode(cell))
+        return [
+            (
+                planner._move_between(n, key, nxt),
+                planner._decode(tuple(nxt >> c * n & full for c in range(r))),
+            )
+            for nxt in planner._expander(spec)(key)
+        ]
+
+    @staticmethod
+    def accepted(spec, cell):
+        """The public functions' moves out of a 0-cell, as (Move, Cell) pairs."""
+        return [
+            (mv, apply_move(spec, cell, mv))
+            for color in range(spec.colors.r)
+            for u in sorted(cell.parts[color])
+            for v in spec.graph.adjacency[u]
+            if is_valid_move(spec, cell, mv := Move(color, u, v))
+        ]
+
+    def check_all(self, ns):
+        checked = 0
+        for n in ns:
+            for g, sizes, cover in itertools.product(
+                connected_graphs(n), color_vectors(n), (True, False)
+            ):
+                spec = ComplexSpec(g, ColorVector(sizes), require_cover=cover)
+                for cell in enumerate_cells(spec, dim=0):
+                    assert self.expanded(spec, cell) == self.accepted(spec, cell), (
+                        g.edges, sizes, cover, cell
+                    )
+                    checked += 1
+        return checked
+
+    def test_every_zero_cell_up_to_four_vertices(self):
+        assert self.check_all((1, 2, 3, 4)) == 6191
+
+    @pytest.mark.slow
+    def test_every_zero_cell_on_five_vertices(self):
+        assert self.check_all((5,)) == 94080
+
+
 class TestBfsDifferential:
     @pytest.mark.parametrize(
         "family, n, sizes, cover",
@@ -730,6 +788,15 @@ class TestBfsDifferential:
                 assert found is not None and found.end == goal
                 assert found.moves == reference_moves(parent, goal)
                 assert len(found.moves) == dist[b]
+
+    def test_keys_wider_than_a_machine_word(self):
+        """Two robots on a 33-vertex path with coverage off: a state's key
+        holds 66 bits, and the plan still matches the cell-level search."""
+        spec = ComplexSpec(generate_named("path", 33), ColorVector((1, 1)), require_cover=False)
+        start, goal = Cell.make([(0,), (2,)]), Cell.make([(30,), (32,)])
+        found = plan_bfs(spec, start, goal)
+        want = reference_moves(reference_bfs_parents(spec, start), goal)
+        assert len(want) == 60 and found.moves == want
 
 
 class TestVerify:
