@@ -18,6 +18,7 @@ from .complexes import (
     ColorVector,
     ComplexSpec,
     EmptyComplexError,
+    _zero_cells,
     enumerate_cells,
     f_vector,
     format_cell,
@@ -38,8 +39,9 @@ from .planner import (
     verify_plan,
 )
 from .skeleton import (
-    build_one_skeleton,
-    component_labels,
+    SkeletonGraph,
+    _keyed_skeleton,
+    _labels,
     euler_characteristic,
     skeleton_edge_list_text,
     skeleton_node_lines,
@@ -188,21 +190,22 @@ def cmd_enumerate(args) -> int:
 def cmd_components(args) -> int:
     spec = _load_spec(args)
     try:
-        sk = build_one_skeleton(spec)
+        keys, arcs = _keyed_skeleton(spec)
     except EmptyComplexError:
         print("the complex is empty", file=sys.stderr)
         return EXIT_EMPTY_OR_UNREACHABLE
-    count, labels = component_labels(sk)
+    count, labels = _labels(len(keys), arcs)
     sizes = [0] * count
     for label in labels:
         sizes[label] += 1
     report = {
         "components": str(count),
         "component_sizes": _decimal(sizes),
-        "nodes": str(len(sk.nodes)),
-        "arcs": str(len(sk.arcs)),
+        "nodes": str(len(keys)),
+        "arcs": str(len(arcs)),
     }
     if args.export_skeleton:
+        sk = SkeletonGraph(_zero_cells(spec, keys), arcs)
         base = Path(args.export_skeleton)
         _write_text(base.with_suffix(".edgelist"), skeleton_edge_list_text(sk))
         _write_text(base.with_suffix(".nodes"), "\n".join(skeleton_node_lines(sk)) + "\n")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 from .graphs import SimpleGraph
 
@@ -350,37 +350,50 @@ def enumerate_cells(spec: ComplexSpec, dim: int | None = None):
         del walk  # a closure that calls itself is a cycle, also when the caller stops early
 
 
-def _one_skeleton(spec: ComplexSpec) -> tuple[tuple[Cell, ...], tuple[tuple[int, int], ...]]:
-    """The 0-cells in canonical order, and one pair of 0-cell indices per
-    1-cell, also in canonical order: the 1-skeleton.
+def _low_parts(g: SimpleGraph, size: int, cover: bool) -> list[tuple[int, int, tuple[int, int] | None]]:
+    """The size-parts with at most one edge, in ``valid_parts``' canonical
+    order, as ``(cover or closure mask, vertex mask, end bits of the edge or
+    None)``; ``cover`` picks the first mask.
 
-    One walk over the parts with at most one edge records each cell as a key,
-    an int that holds color i's vertex mask (``_Part.cover``) in bits ``i*n``
-    to ``(i+1)*n``, as the planner encodes a 0-cell; ints, unlike tuples, are
-    not tracked by the garbage collector, so thousands of keys per complex
-    cost it nothing.  A 1-cell has one one-edge part, and its two endpoints
-    are its key with one or the other end of that edge added to the part's
-    mask, so the walk carries those two bits.  Only the 0-cells are built as
-    ``Cell``.
+    Such a part holds only vertices in its first size - 1 elements, and its
+    last element is a larger vertex or, as edges follow vertices in the pool,
+    an edge clear of those vertices; so each prefix yields its vertex-only
+    parts first, then its one-edge parts.
     """
-    n = spec.graph.n
+    ends = [(1 << u, 1 << v) for u, v in g.edges]
+    out = []
+    for prefix in combinations(range(g.n), size - 1):
+        mask = sum(1 << v for v in prefix)
+        out += [(mask | 1 << v, mask | 1 << v, None) for v in range(prefix[-1] + 1 if prefix else 0, g.n)]
+        out += [(mask if cover else mask | a | b, mask, (a, b)) for a, b in ends if not mask & (a | b)]
+    return out
+
+
+def _one_skeleton(spec: ComplexSpec) -> tuple[list[int], tuple[tuple[int, int], ...]]:
+    """The 0-cells' keys in canonical order, and one pair of 0-cell indices
+    per 1-cell, also in canonical order: the 1-skeleton.
+
+    One walk over the parts with at most one edge (``_low_parts``) records
+    each cell as a key, an int that holds color i's vertex mask
+    (``_Part.cover``) in bits ``i*n`` to ``(i+1)*n``, as the planner encodes a
+    0-cell; ints, unlike tuples, are not tracked by the garbage collector, so
+    thousands of keys per complex cost it nothing.  A 1-cell has one one-edge
+    part, and its two endpoints are its key with one or the other end of that
+    edge added to the part's mask, so the walk carries those two bits.  No
+    ``Cell`` is built; ``_zero_cells`` decodes the keys.
+    """
+    g = spec.graph
+    n = g.n
     sizes = spec.colors.sizes
     cover = spec.require_cover
     full = (1 << n) - 1
-    # per group size: (cover or closure mask, vertex mask, end bits of the
-    # edge or None) of the parts with at most one edge, the vertex-only ones
-    # among them, and the vertex-only parts' elements by vertex mask
+    # per group size: the parts with at most one edge, and the vertex-only
+    # ones among them
     by_size = {}
-    for size, parts in zip(sizes, _parts_by_color(spec)):
+    for size in sizes:
         if size not in by_size:
-            low = []
-            for p in parts:
-                if p.edge_count <= 1:
-                    # vertices precede edges in a part, so the one edge comes last
-                    ends = tuple(1 << v for v in p.elements[-1]) if p.edge_count else None
-                    low.append((p.cover if cover else p.closure, p.cover, ends))
-            elements = {p.cover: p.elements for p in parts if p.edge_count == 0}
-            by_size[size] = (low, [x for x in low if x[2] is None], elements)
+            low = _low_parts(g, size, cover)
+            by_size[size] = (low, [x for x in low if x[2] is None])
     levels = [by_size[size] for size in sizes]
     last = len(sizes) - 1
     # cap[idx]: the most vertices that colors idx.. can still cover
@@ -427,7 +440,7 @@ def _one_skeleton(spec: ComplexSpec) -> tuple[tuple[Cell, ...], tuple[tuple[int,
                 else:
                     zero_keys.append(cell)
             return
-        low, flat, _ = levels[idx]
+        low, flat = levels[idx]
         for m, c, ends in flat if end_a else low:
             if cover:
                 if (full & ~(mask | m)).bit_count() > cap[idx + 1]:
@@ -442,11 +455,20 @@ def _one_skeleton(spec: ComplexSpec) -> tuple[tuple[Cell, ...], tuple[tuple[int,
 
     walk(0, 0, 0, 0, 0)
     del walk  # a closure that calls itself is a cycle; free it now, not at a full collection
-    decode = [elements for _, _, elements in levels]
-    nodes = tuple(Cell(tuple(els[key >> i * n & full] for i, els in enumerate(decode))) for key in zero_keys)
     number = {key: i for i, key in enumerate(zero_keys)}
     arcs = tuple(zip(map(number.__getitem__, first_ends), map(number.__getitem__, second_ends)))
-    return nodes, arcs
+    return zero_keys, arcs
+
+
+def _zero_cells(spec: ComplexSpec, keys) -> tuple[Cell, ...]:
+    """The 0-cells that ``_one_skeleton``'s keys stand for, as ``Cell``s:
+    each color's field is a vertex mask, and its part lists those vertices."""
+    n = spec.graph.n
+    full = (1 << n) - 1
+    shifts = range(0, n * spec.colors.r, n)
+    masks = {key >> shift & full for key in keys for shift in shifts}
+    parts = {mask: tuple(v for v in range(n) if mask >> v & 1) for mask in masks}
+    return tuple(Cell(tuple(parts[key >> shift & full] for shift in shifts)) for key in keys)
 
 
 def f_vector(spec: ComplexSpec):

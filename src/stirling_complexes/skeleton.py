@@ -2,8 +2,9 @@
 
 Connectivity of the whole complex is decided here: higher cells never join
 components that their own 0-dimensional corners do not already join.  The
-nodes and arcs come from ``complexes``, the one module that knows how cells
-are keyed; this module labels components and writes the exports.
+0-cells' keys and the arcs come from ``complexes``, the one module that knows
+how cells are keyed.  Components are labelled on the keys, with no ``Cell``
+built; only ``build_one_skeleton`` and the exports decode the 0-cells.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .complexes import (
     ComplexSpec,
     EmptyComplexError,
     _one_skeleton,
+    _zero_cells,
     cell_sort_key,
     format_cell,
     is_edge_element,
@@ -57,46 +59,62 @@ def boundary_endpoints(spec: ComplexSpec, cell: Cell) -> tuple[Cell, Cell]:
     return pair[0], pair[1]
 
 
+def _keyed_skeleton(spec: ComplexSpec) -> tuple[list[int], tuple[tuple[int, int], ...]]:
+    """The 0-cells' keys and the arcs, as ``complexes._one_skeleton`` returns
+    them; an empty complex raises ``EmptyComplexError``."""
+    keys, arcs = _one_skeleton(spec)
+    if not keys:
+        raise EmptyComplexError("the complex has no cells")
+    return keys, arcs
+
+
 def build_one_skeleton(spec: ComplexSpec) -> SkeletonGraph:
     """Nodes from the 0-cells and one arc per 1-cell, both in canonical order.
 
-    ``complexes`` finds both in one walk over the candidate parts and builds
-    only the 0-cells as ``Cell``; an arc joins the two 0-cells that replace
-    its 1-cell's edge by one endpoint and by the other.
+    ``complexes`` finds both as int keys in one walk over the parts with at
+    most one edge; the 0-cells' keys are then decoded into ``Cell``s.  An arc
+    joins the two 0-cells that replace its 1-cell's edge by one endpoint and
+    by the other.
     """
-    nodes, arcs = _one_skeleton(spec)
-    if not nodes:
-        raise EmptyComplexError("the complex has no cells")
-    return SkeletonGraph(nodes, arcs)
+    keys, arcs = _keyed_skeleton(spec)
+    return SkeletonGraph(_zero_cells(spec, keys), arcs)
+
+
+def _labels(node_count: int, arcs) -> tuple[int, tuple[int, ...]]:
+    """Union-find over node indices: the component count plus a dense label
+    per node, assigned in node order."""
+    parent = list(range(node_count))
+    # find() is inlined, with path halving: a call per lookup costs more than
+    # the lookup itself
+    for a, b in arcs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[b] = a
+    labels = []
+    dense: dict[int, int] = {}
+    for i in range(node_count):
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        parent[i] = root
+        labels.append(dense.setdefault(root, len(dense)))
+    return len(dense), tuple(labels)
 
 
 def component_labels(sk: SkeletonGraph) -> tuple[int, tuple[int, ...]]:
     """Component count plus a dense label per node, assigned in node order."""
-    parent = list(range(len(sk.nodes)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in sk.arcs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    labels = []
-    dense: dict[int, int] = {}
-    for i in range(len(sk.nodes)):
-        root = find(i)
-        if root not in dense:
-            dense[root] = len(dense)
-        labels.append(dense[root])
-    return len(dense), tuple(labels)
+    return _labels(len(sk.nodes), sk.arcs)
 
 
 def connected_components(spec: ComplexSpec) -> tuple[int, tuple[int, ...]]:
-    """Connected components of the complex via its 1-skeleton."""
-    return component_labels(build_one_skeleton(spec))
+    """Connected components of the complex via its 1-skeleton: the count and
+    one label per 0-cell in canonical order, found on the keys without
+    building a ``Cell``."""
+    keys, arcs = _keyed_skeleton(spec)
+    return _labels(len(keys), arcs)
 
 
 def euler_characteristic(fvec) -> int:

@@ -137,6 +137,17 @@ class TestComponents:
         assert edge_text.splitlines()[0] == "12 9"
         assert len(base.with_suffix(".nodes").read_text().strip().splitlines()) == 12
 
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    @pytest.mark.parametrize("graph,colors", [("P7", "3,3,2"), ("C10", "7,4")])
+    def test_export_leaves_the_report_unchanged(self, graph, colors, fmt, capsys, tmp_path):
+        """The report comes from the 1-skeleton's keys alone; decoding the
+        0-cells for the export must not change a byte of it."""
+        argv = ["components", "--graph", graph, "--colors", colors, "--format", fmt]
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0
+        code, exported, _ = run(capsys, *argv, "--export-skeleton", str(tmp_path / "sk"))
+        assert code == 0 and exported == plain
+
 
 class TestPlanAndVerify:
     START = "{0,1}|{0,2}|{0}"

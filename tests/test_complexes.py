@@ -23,10 +23,13 @@ from stirling_complexes import (
     occupancy,
     occupancy_difference,
     parse_cell,
+    parse_graph_name,
     same_type,
     two_one_cell_counts,
     uniform_cell_counts,
+    valid_parts,
 )
+from stirling_complexes.complexes import _low_parts
 
 
 def closed_form(spec):
@@ -314,6 +317,36 @@ class TestCountingDifferential:
     @pytest.mark.slow
     def test_every_connected_graph_on_five_vertices(self):
         assert self.check_all(5) == 21 * 56 * 2
+
+
+class TestLowParts:
+    """The 1-skeleton's part builder against ``valid_parts`` filtered to the
+    parts with at most one edge: same parts, same canonical order, in the
+    form the walk reads."""
+
+    @staticmethod
+    def check(g):
+        for size in range(1, g.n + 3):
+            parts = [p for p in valid_parts(g, size) if p.edge_count <= 1]
+            for cover in (True, False):
+                expected = [
+                    (
+                        p.cover if cover else p.closure,
+                        p.cover,
+                        tuple(1 << v for v in p.elements[-1]) if p.edge_count else None,
+                    )
+                    for p in parts
+                ]
+                assert _low_parts(g, size, cover) == expected, (g.edges, size, cover)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_connected_graph(self, n):
+        for g in connected_graphs(n):
+            self.check(g)
+
+    @pytest.mark.parametrize("name", ["K7", "C10"])
+    def test_larger_graphs(self, name):
+        self.check(parse_graph_name(name))
 
 
 class TestColorOrder:

@@ -11,6 +11,7 @@ from stirling_complexes import (
     EmptyComplexError,
     boundary_endpoints,
     build_one_skeleton,
+    component_labels,
     connected_components,
     enumerate_cells,
     euler_characteristic,
@@ -101,7 +102,9 @@ class TestSkeleton:
 
 class TestDifferential:
     """build_one_skeleton against the Cell-level reference: same nodes in the
-    same order, same arcs in the same order, same empty-complex error."""
+    same order, same arcs in the same order, same empty-complex error; and
+    connected_components, which labels the keys without building a Cell,
+    against the labels of the reference."""
 
     @staticmethod
     def check_all(n):
@@ -115,8 +118,12 @@ class TestDifferential:
                     except EmptyComplexError:
                         with pytest.raises(EmptyComplexError):
                             build_one_skeleton(spec)
+                        with pytest.raises(EmptyComplexError):
+                            connected_components(spec)
                     else:
                         assert build_one_skeleton(spec) == expected, (g.edges, sizes, cover)
+                        labels = component_labels(expected)
+                        assert connected_components(spec) == labels, (g.edges, sizes, cover)
                     cases += 1
         return cases
 
@@ -150,17 +157,23 @@ class TestDifferential:
 
 
 class TestNoCyclicGarbage:
-    def test_calls_leave_nothing_for_the_cycle_collector(self):
+    def test_calls_leave_nothing_for_the_cycle_collector(self, capsys):
         """The walks behind the 1-skeleton and the candidate parts are closures
         that call themselves; each is freed on return, so a call leaves no
         unreachable objects for a full collection to find."""
         spec = ComplexSpec(parse_graph_name("C7"), ColorVector((3, 3, 2)))
+        argv = ["components", "--graph", "C7", "--colors", "3,3,2", "--format", "tsv"]
+        main(argv)  # builds the CLI parser, whose cycles live as long as the process
         gc.collect()
         gc.disable()
         try:
             build_one_skeleton(spec)
             assert gc.collect() == 0
+            connected_components(spec)
+            assert gc.collect() == 0
             f_vector(spec)
+            assert gc.collect() == 0
+            assert main(argv) == 0
             assert gc.collect() == 0
         finally:
             gc.enable()
