@@ -18,12 +18,12 @@ path) resolves to the smallest index, graph paths are lexicographically
 smallest breadth-first shortest paths, and the swap search expands states in
 a fixed order.
 
-The constructive planner and the replay hold a 0-cell as one vertex mask per
-color.  The two breadth-first searches, ``plan_bfs`` and the swap search, key
-each state as one int in the 1-skeleton's layout (color c's mask in bits
-``c*n`` to ``(c+1)*n``) and store only parent keys; a ``Move`` is built only
-for the moves on the returned path, read from the two bits in which a key
-differs from its parent.
+Inside the planner a 0-cell is one int key in the 1-skeleton's layout: color
+c's vertex mask in bits ``c*n`` to ``(c+1)*n``.  A move flips two of its bits,
+and a ``Cell`` is built only at the public boundary.  The two breadth-first
+searches, ``plan_bfs`` and the swap search, store only parent keys; a ``Move``
+is built only for the moves on the returned path, read from the two bits in
+which a key differs from its parent.
 """
 
 from __future__ import annotations
@@ -34,11 +34,13 @@ from dataclasses import dataclass
 from .complexes import (
     Cell,
     ComplexSpec,
+    _zero_cells,
     format_cell,
     is_nontrivial,
     is_valid_cell,
     occupancy,
     parse_cell,
+    same_type,
 )
 from .graphs import is_connected, shortest_path
 
@@ -116,24 +118,21 @@ def _is_zero_cell(spec: ComplexSpec, cell: Cell) -> bool:
     return cell.dimension == 0 and is_valid_cell(spec, cell)
 
 
-# A 0-cell as the planner moves it: one vertex bitmask per color.  The two
-# breadth-first searches pack the masks into one int key (``_pack``).
-_Masks = tuple[int, ...]
+def _encode(n: int, cell: Cell) -> int:
+    """The key of a valid 0-cell (its parts hold distinct in-range vertices):
+    color c's vertex mask in bits ``c*n`` to ``(c+1)*n``, the layout that
+    ``complexes._one_skeleton`` keys cells by."""
+    return sum(1 << color * n + v for color, part in enumerate(cell.parts) for v in part)
 
 
-def _encode(cell: Cell) -> _Masks:
-    """The state of a valid 0-cell (its parts hold distinct in-range vertices)."""
-    return tuple(sum(1 << v for v in part) for part in cell.parts)
+def _decode(spec: ComplexSpec, key: int) -> Cell:
+    """The canonical 0-cell of a key: set bits in ascending order."""
+    return _zero_cells(spec, (key,))[0]
 
 
-def _decode(state: _Masks) -> Cell:
-    """The canonical 0-cell of a state: set bits in ascending order."""
-    return Cell(tuple(tuple(v for v in range(m.bit_length()) if m >> v & 1) for m in state))
-
-
-def _move_rule(spec: ComplexSpec, state: _Masks) -> tuple[int, int]:
-    """The one rule for elementary moves, as two vertex masks: the vertices a
-    robot may leave and the vertices no robot may enter.
+def _move_rule(spec: ComplexSpec, key: int) -> tuple[int, int]:
+    """The one rule for elementary moves, read from a key as two vertex masks:
+    the vertices a robot may leave and the vertices no robot may enter.
 
     A robot of color c slides from u to the adjacent v exactly when u holds c
     and may be left, and v neither holds c nor is closed to entry.  Under
@@ -141,55 +140,52 @@ def _move_rule(spec: ComplexSpec, state: _Masks) -> tuple[int, int]:
     no vertex is left bare.  With coverage off the separation rule binds
     across colors, so the target vertex must be free of every robot.
     """
+    n = spec.graph.n
+    full = (1 << n) - 1
+    once, twice = key & full, 0
+    while key := key >> n:
+        twice |= once & key
+        once |= key & full
     if spec.require_cover:
-        once = twice = 0
-        for mask in state:
-            twice |= once & mask
-            once |= mask
         return twice, 0
-    occupied = 0
-    for mask in state:
-        occupied |= mask
-    return -1, occupied
+    return full, once
 
 
-def _pack(n: int, state: _Masks) -> int:
-    """A state as one int key: color c's vertex mask in bits ``c*n`` to
-    ``(c+1)*n``, the layout that ``complexes._one_skeleton`` keys cells by."""
-    key = 0
-    for color, mask in enumerate(state):
-        key |= mask << color * n
-    return key
+def _column(spec: ComplexSpec) -> int:
+    """One bit at the base of each color's field, so ``key >> v & column``
+    has a bit at ``c*n`` for each color c on vertex v."""
+    return sum(1 << spec.graph.n * color for color in range(spec.colors.r))
 
 
 def _expander(spec: ComplexSpec):
-    """The successor function of the move graph on int keys.
+    """The successor function of the move graph on keys.
 
     ``expand(key)`` lists the key of every state one legal move away, by
     color, then source vertex ascending, then target ascending (adjacency
-    order, as adjacency lists are sorted).  Legality is ``_move_rule``'s.
+    order, as adjacency lists are sorted): the order of the bits the moving
+    robot leaves and enters.  Legality is ``_move_rule``'s, spread over every
+    color's field.
     """
-    n, r = spec.graph.n, spec.colors.r
-    full = (1 << n) - 1
-    shifts = tuple(color * n for color in range(r))
+    n = spec.graph.n
+    column = _column(spec)
     neighbors = tuple(sum(1 << v for v in adj) for adj in spec.graph.adjacency)
+    # The neighbors of a key bit, in that bit's field.
+    reach = tuple(neighbors[v] << shift for shift in range(0, n * spec.colors.r, n) for v in range(n))
 
     def expand(key: int) -> list[int]:
-        state = [key >> shift & full for shift in shifts]
-        leave, blocked = _move_rule(spec, state)
+        leave, blocked = _move_rule(spec, key)
+        movable = key & leave * column
+        enterable = ~(key | blocked * column)
         out = []
-        for shift, mask in zip(shifts, state):
-            enterable = ~(mask | blocked)
-            movable = mask & leave
-            while movable:
-                low = movable & -movable
-                movable ^= low
-                base = key ^ low << shift
-                targets = neighbors[low.bit_length() - 1] & enterable
-                while targets:
-                    high = targets & -targets
-                    targets ^= high
-                    out.append(base | high << shift)
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            base = key ^ low
+            targets = reach[low.bit_length() - 1] & enterable
+            while targets:
+                high = targets & -targets
+                targets ^= high
+                out.append(base | high)
         return out
 
     return expand
@@ -199,15 +195,14 @@ def _move_between(n: int, before: int, after: int) -> Move:
     """The move that turns key ``before`` into key ``after``: the color is the
     field of the two changed bits, the source the one ``before`` holds."""
     diff = before ^ after
-    color = (diff.bit_length() - 1) // n
-    shift = color * n
-    source = (before & diff).bit_length() - 1
-    target = (after & diff).bit_length() - 1
-    return Move(color, source - shift, target - shift)
+    color, source = divmod((before & diff).bit_length() - 1, n)
+    target = (after & diff).bit_length() - 1 - color * n
+    return Move(color, source, target)
 
 
-def _step(spec: ComplexSpec, state: _Masks, move: Move) -> _Masks | None:
-    """The state after one move, or None when the move is illegal.
+def _step(spec: ComplexSpec, key: int, move: Move) -> int | None:
+    """The key after one move, or None when the move is illegal: the move
+    flips the robot's bit at the source and at the target.
 
     The color range and the edge are checked before any shift, so moves read
     from outside (negative or out-of-range numbers) are rejected, not raised.
@@ -215,17 +210,16 @@ def _step(spec: ComplexSpec, state: _Masks, move: Move) -> _Masks | None:
     color, source, target = move.color, move.source, move.target
     if not 0 <= color < spec.colors.r or not spec.graph.has_edge(source, target):
         return None
-    leave, blocked = _move_rule(spec, state)
-    mask = state[color]
+    leave, blocked = _move_rule(spec, key)
+    shift = color * spec.graph.n
+    mask = key >> shift
     if not (mask & leave) >> source & 1 or (mask | blocked) >> target & 1:
         return None
-    nxt = list(state)
-    nxt[color] = mask ^ (1 << source) ^ (1 << target)
-    return tuple(nxt)
+    return key ^ ((1 << source) | (1 << target)) << shift
 
 
-def _move_state(spec: ComplexSpec, cell: Cell) -> _Masks:
-    """The state of a cell passed to a public move function."""
+def _move_state(spec: ComplexSpec, cell: Cell) -> int:
+    """The key of a cell passed to a public move function."""
     if cell.dimension != 0:
         raise ValueError("moves are defined on 0-cells")
     n = spec.graph.n
@@ -234,7 +228,7 @@ def _move_state(spec: ComplexSpec, cell: Cell) -> _Masks:
         for part in cell.parts
     ):
         raise ValueError(f"{format_cell(cell)} is not a 0-cell of this graph and color count")
-    return _encode(cell)
+    return _encode(n, cell)
 
 
 def is_valid_move(spec: ComplexSpec, cell: Cell, move: Move) -> bool:
@@ -250,7 +244,7 @@ def apply_move(spec: ComplexSpec, cell: Cell, move: Move) -> Cell:
     nxt = _step(spec, _move_state(spec, cell), move)
     if nxt is None:
         raise InvalidMoveError(f"illegal move {move} in {format_cell(cell)}")
-    return _decode(nxt)
+    return _decode(spec, nxt)
 
 
 def snap(spec: ComplexSpec, cell: Cell) -> Cell:
@@ -270,41 +264,48 @@ def snap(spec: ComplexSpec, cell: Cell) -> Cell:
 
 
 class _State:
-    """Mutable working copy of a 0-cell: its masks, the colors on each vertex
-    (which the planner queries), and the log of emitted moves."""
+    """Mutable working copy of a 0-cell: its key and the log of emitted moves.
 
-    __slots__ = ("spec", "graph", "masks", "occ", "moves")
+    What the planner asks of a vertex v (its colors, its robot count, whether
+    it is available) is read from v's column of the key, ``key >> v &
+    column``.  A move that the move rule rejects is a planner defect.
+    """
+
+    __slots__ = ("spec", "graph", "column", "key", "moves")
 
     def __init__(self, spec: ComplexSpec, cell: Cell):
         self.spec = spec
         self.graph = spec.graph
-        self.masks = _encode(cell)
-        self.occ = [set() for _ in range(spec.graph.n)]
-        for color, part in enumerate(cell.parts):
-            for v in part:
-                self.occ[v].add(color)
+        self.column = _column(spec)
+        self.key = _encode(spec.graph.n, cell)
         self.moves: list[Move] = []
 
     def colors_at(self, v: int) -> set[int]:
-        return self.occ[v]
+        bits, n = self.key >> v & self.column, self.graph.n
+        colors = set()
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            colors.add((low.bit_length() - 1) // n)
+        return colors
+
+    def holds(self, v: int, color: int) -> bool:
+        return self.key >> color * self.graph.n + v & 1 == 1
+
+    def counts(self) -> list[int]:
+        key, column = self.key, self.column
+        return [(key >> v & column).bit_count() for v in range(self.graph.n)]
 
     def available(self, v: int) -> bool:
-        return len(self.occ[v]) >= 2
+        return (self.key >> v & self.column).bit_count() >= 2
 
     def move(self, color: int, source: int, target: int) -> None:
         mv = Move(color, source, target)
-        nxt = _step(self.spec, self.masks, mv)
-        if nxt is None:
-            raise InvalidMoveError(
-                f"illegal move ({color}, {source} -> {target}) while planning"
-            )
-        self.masks = nxt
-        self.occ[source].discard(color)
-        self.occ[target].add(color)
+        nxt = _step(self.spec, self.key, mv)
+        if nxt is None:  # the message is built only on failure
+            _ensure(False, f"illegal move ({color}, {source} -> {target}) while planning")
+        self.key = nxt
         self.moves.append(mv)
-
-    def snapshot(self) -> Cell:
-        return _decode(self.masks)
 
 
 def _check_path(state: _State, path, name: str) -> None:
@@ -333,8 +334,7 @@ def _leapfrog(state: _State, z: int, path, k: int) -> None:
     vertex.  Vertex occupancy counts along the path are preserved except at the
     two ends, and vertices off the path are untouched.
     """
-    carriers = [idx for idx, v in enumerate(path) if k in state.colors_at(v)]
-    t = max(carriers)
+    t = max(idx for idx, v in enumerate(path) if state.holds(v, k))
     _ensure(t < len(path) - 1, "leapfrog target already holds the color")
     if t == 0:
         _walk(state, k, path)
@@ -364,8 +364,7 @@ def _swap_third(state: _State, z: int, w: int, path, i: int, k: int) -> None:
         state.move(k, w, z)
         return
     nxt = path[1]
-    colors_next = state.colors_at(nxt)
-    if i not in colors_next:
+    if not state.holds(nxt, i):
         state.move(i, z, nxt)
         _swap_third(state, nxt, w, path[1:], i, k)
         state.move(k, nxt, z)
@@ -454,7 +453,7 @@ def _search_swap(state: _State, x: int, y: int, i: int, j: int) -> None:
     """
     n = state.graph.n
     expand = _expander(state.spec)
-    root = _pack(n, state.masks)
+    root = state.key
     ends = (1 << x) | (1 << y)
     goal = root ^ ends << i * n ^ ends << j * n
     # Each side maps a reached key to its parent toward that side's root.
@@ -487,26 +486,25 @@ def _search_swap(state: _State, x: int, y: int, i: int, j: int) -> None:
 def _swap_along(state: _State, path, i: int, j: int) -> None:
     """Swap the i robot on the first path vertex with the j robot on the last."""
     x, y = path[0], path[-1]
-    occ_x, occ_y = state.colors_at(x), state.colors_at(y)
-    _ensure(i in occ_x and j not in occ_x, "swap_along: x must hold i and not j")
-    _ensure(j in occ_y and i not in occ_y, "swap_along: y must hold j and not i")
+    _ensure(state.holds(x, i) and not state.holds(x, j), "swap_along: x must hold i and not j")
+    _ensure(state.holds(y, j) and not state.holds(y, i), "swap_along: y must hold j and not i")
     if len(path) == 2:
         _swap_adjacent(state, x, y, i, j)
         return
     nxt = path[1]
-    colors_next = state.colors_at(nxt)
-    if i in colors_next and j not in colors_next:
+    has_i, has_j = state.holds(nxt, i), state.holds(nxt, j)
+    if has_i and not has_j:
         _swap_along(state, path[1:], i, j)
         _swap_adjacent(state, x, nxt, i, j)
-    elif j in colors_next and i not in colors_next:
+    elif has_j and not has_i:
         _swap_adjacent(state, x, nxt, i, j)
         _swap_along(state, path[1:], i, j)
-    elif i in colors_next and j in colors_next:
+    elif has_i and has_j:
         state.move(j, nxt, x)
         _swap_along(state, path[1:], i, j)
         state.move(i, x, nxt)
     elif not state.available(x):
-        k = min(colors_next)
+        k = min(state.colors_at(nxt))
         _swap_adjacent(state, x, nxt, i, k)
         _swap_along(state, path[1:], i, j)
         _swap_adjacent(state, x, nxt, k, j)
@@ -520,31 +518,34 @@ def _swap(state: _State, x: int, y: int, i: int, j: int) -> None:
     _swap_along(state, shortest_path(state.graph, x, y), i, j)
 
 
-def _realize_profile(state: _State, target: list[set[int]]) -> None:
-    """Drive a 0-cell to a same-type target through color swaps.
+def _realize_profile(state: _State, target: int) -> None:
+    """Drive a 0-cell to the same-type target key through color swaps.
 
     Repeatedly extract a cycle of (extra color, vertex) pairs, each color being
     surplus where it stands and wanted at the next vertex, then realize the
     cycle's permutation by walking its lead color backwards through pairwise
     swaps, shrinking the cycle until it closes.
     """
-    n = state.graph.n
+    n, full, column = state.graph.n, (1 << state.graph.n) - 1, state.column
+
+    def first(bits: int) -> int:
+        return (bits & -bits).bit_length() - 1
+
     while True:
-        extras = sorted(
-            (v, c) for v in range(n) for c in state.colors_at(v) - target[v]
-        )
-        if not extras:
+        # The robots standing where the target has none, and the reverse.
+        surplus, wanted = state.key & ~target, target & ~state.key
+        if not surplus:
             return
-        v1, i1 = extras[0]
-        seq = [(i1, v1)]
+        v1 = next(v for v in range(n) if surplus >> v & column)
+        seq = [(first(surplus >> v1 & column) // n, v1)]
         seen = {v1: 0}
         while True:
             c_last, _ = seq[-1]
-            nxt = min(v for v in range(n) if c_last in target[v] - state.colors_at(v))
+            nxt = first(wanted >> c_last * n & full)
             if nxt in seen:
                 cycle = seq[seen[nxt] :]
                 break
-            seq.append((min(state.colors_at(nxt) - target[nxt]), nxt))
+            seq.append((first(surplus >> nxt & column) // n, nxt))
             seen[nxt] = len(seq) - 1
         _realize_cycle(state, cycle)
 
@@ -555,7 +556,7 @@ def _realize_cycle(state: _State, cycle: list[tuple[int, int]]) -> None:
         p = len(cycle)
         verts = [v for _, v in cycle] + [v1]
         cols = [c for c, _ in cycle] + [i1]
-        t = min(s for s in range(2, p + 2) if i1 in state.colors_at(verts[s - 1]))
+        t = min(s for s in range(2, p + 2) if state.holds(verts[s - 1], i1))
         _ensure(t >= 3, "realize_cycle: the lead color is already in place")
         for s in range(t, 2, -1):
             _swap(state, verts[s - 1], verts[s - 2], i1, cols[s - 2])
@@ -599,7 +600,7 @@ def _verified(plan: MovePlan) -> MovePlan:
 
 
 def _finish(state: _State, start: Cell) -> MovePlan:
-    return _verified(MovePlan(state.spec, start, tuple(state.moves), state.snapshot()))
+    return _verified(MovePlan(state.spec, start, tuple(state.moves), _decode(state.spec, state.key)))
 
 
 def leapfrog(spec: ComplexSpec, cell: Cell, z: int, path, k: int) -> MovePlan:
@@ -676,12 +677,10 @@ def same_type_plan(spec: ComplexSpec, cell: Cell, goal: Cell) -> MovePlan:
     _require_planner_hypotheses(spec)
     _require_zero_cell(spec, cell, "start")
     _require_zero_cell(spec, goal, "goal")
-    target = [set(occupancy(goal, v)) for v in range(spec.graph.n)]
-    current = [len(occupancy(cell, v)) for v in range(spec.graph.n)]
-    if any(len(t) != c for t, c in zip(target, current)):
+    if not same_type(cell, goal):
         raise PlanningError("same_type_plan: the cells have different occupancy profiles")
     state = _State(spec, cell)
-    _realize_profile(state, target)
+    _realize_profile(state, _encode(spec.graph.n, goal))
     plan = _finish(state, cell)
     _ensure(plan.end == goal, "same_type_plan did not reach the goal")
     return plan
@@ -703,20 +702,21 @@ def plan(spec: ComplexSpec, start: Cell, goal: Cell) -> MovePlan:
     fwd = _State(spec, start)
     bwd = _State(spec, goal)
     while True:
-        diffs = [len(fwd.occ[v]) - len(bwd.occ[v]) for v in range(g.n)]
+        here = fwd.counts()
+        diffs = [a - b for a, b in zip(here, bwd.counts())]
         over = [v for v, d in enumerate(diffs) if d > 0]
         if not over:
             break
         x = over[0]
         y = next(v for v, d in enumerate(diffs) if d < 0)
-        if len(fwd.occ[x]) > len(fwd.occ[y]):
+        if here[x] > here[y]:
             k = min(fwd.colors_at(x) - fwd.colors_at(y))
             _leapfrog(fwd, x, shortest_path(g, x, y), k)
         else:
             k = min(bwd.colors_at(y) - bwd.colors_at(x))
             _leapfrog(bwd, y, shortest_path(g, y, x), k)
-    _realize_profile(fwd, [set(s) for s in bwd.occ])
-    _ensure(fwd.masks == bwd.masks, "the forward and backward halves of the plan do not meet")
+    _realize_profile(fwd, bwd.key)
+    _ensure(fwd.key == bwd.key, "the forward and backward halves of the plan do not meet")
     moves = list(fwd.moves) + [mv.flipped() for mv in reversed(bwd.moves)]
     return _verified(MovePlan(spec, start, tuple(moves), goal))
 
@@ -730,7 +730,7 @@ def plan_bfs(spec: ComplexSpec, start: Cell, goal: Cell) -> MovePlan | None:
         return _verified(MovePlan(spec, start, (), goal))
     n = spec.graph.n
     expand = _expander(spec)
-    source, target = _pack(n, _encode(start)), _pack(n, _encode(goal))
+    source, target = _encode(n, start), _encode(n, goal)
     parent: dict[int, int | None] = {source: None}
     queue = deque([source])
     while queue:
@@ -752,12 +752,12 @@ def verify_plan(plan: MovePlan) -> PlanVerification:
     spec = plan.spec
     if not _is_zero_cell(spec, plan.start):
         return PlanVerification(False, 0)
-    state = _encode(plan.start)
+    key = _encode(spec.graph.n, plan.start)
     for step, mv in enumerate(plan.moves, start=1):
-        state = _step(spec, state, mv)
-        if state is None:
+        key = _step(spec, key, mv)
+        if key is None:
             return PlanVerification(False, step)
-    if plan.end is not None and _decode(state) != plan.end:
+    if plan.end is not None and _decode(spec, key) != plan.end:
         return PlanVerification(False, len(plan.moves) + 1)
     return PlanVerification(True, None)
 

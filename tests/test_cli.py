@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 
 import pytest
@@ -321,6 +322,26 @@ class TestInternalErrors:
         )
         assert code == EXIT_INTERNAL == 5
         assert out == "" and err.startswith("error: internal: ")
+
+    def test_illegal_planning_move_exits_five(self, capsys, monkeypatch):
+        import stirling_complexes.planner as planner
+
+        step, calls = planner._step, itertools.count(1)
+        monkeypatch.setattr(planner, "_step", lambda *args: None if next(calls) == 3 else step(*args))
+        code, out, err = run(
+            capsys,
+            "plan",
+            "--graph",
+            "P5",
+            "--colors",
+            "3,2,1",
+            "--start",
+            "{0,1,2}|{3,4}|{0}",
+            "--end",
+            "{2,3,4}|{0,1}|{4}",
+        )
+        assert code == EXIT_INTERNAL == 5
+        assert out == "" and err.startswith("error: internal: illegal move")
 
 
 class TestUsageErrors:

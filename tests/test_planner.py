@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter, deque
@@ -21,11 +22,13 @@ from stirling_complexes import (
     enumerate_cells,
     format_plan,
     generate_named,
+    is_available,
     is_nontrivial,
     is_valid_cell,
     is_valid_move,
     leapfrog,
     occupancy,
+    parse_graph_name,
     parse_plan,
     plan,
     plan_bfs,
@@ -616,6 +619,18 @@ class TestPlan:
         with pytest.raises(InternalPlanningError, match="^internal: .*replay at step 1"):
             call()
 
+    def test_illegal_planning_move_is_internal(self, monkeypatch):
+        """A move that the planner emits and the move rule rejects is a planner
+        defect, not a caller's illegal move."""
+        import stirling_complexes.planner as planner
+
+        spec = ComplexSpec(generate_named("path", 5), ColorVector((3, 2, 1)))
+        start, goal = Cell.make([(0, 1, 2), (3, 4), (0,)]), Cell.make([(2, 3, 4), (0, 1), (4,)])
+        step, calls = planner._step, itertools.count(1)
+        monkeypatch.setattr(planner, "_step", lambda *args: None if next(calls) == 3 else step(*args))
+        with pytest.raises(InternalPlanningError, match=r"^internal: illegal move \(0, 2 -> 3\)"):
+            plan(spec, start, goal)
+
     def test_user_errors_are_not_internal(self, p3):
         spec = ComplexSpec(p3, ColorVector((2, 2, 1)))
         cell = next(enumerate_cells(spec, dim=0))
@@ -679,6 +694,32 @@ class TestPlanningDifferential:
         assert complexes == 462 and calls["_borrow_swap"] > 0 and calls["_search_swap"] > 0
 
 
+class TestPinnedPlans:
+    """The constructive plans, pinned: one digest over the text of ``plan``
+    for 30 seeded pairs of 0-cells per complex, and of ``same_type_plan`` for
+    the pairs of the same type.  P7 (3,3,2) and P8 (3,3,3) send the most
+    swaps to the swap search."""
+
+    LABELS = ("K5:3,3,3", "T5:3,3,3", "C6:3,3,2", "C7:3,3,3", "P5:3,2,1", "P6:3,2,2", "P7:3,3,2", "P8:3,3,3")
+    DIGEST = "31e3e5c663219ea48e49e4f2623f1f09461dbb43cfcdff847264bbcf80579a5f"
+
+    def test_plans_are_unchanged(self):
+        digest, same = hashlib.sha256(), 0
+        for label in self.LABELS:
+            name, sizes = label.split(":")
+            spec = ComplexSpec(parse_graph_name(name), ColorVector.parse(sizes))
+            cells = list(enumerate_cells(spec, dim=0))
+            rng = random.Random(label)
+            for _ in range(30):
+                a, b = rng.choice(cells), rng.choice(cells)
+                digest.update(format_plan(plan(spec, a, b)).encode())
+                if same_type(a, b):
+                    digest.update(format_plan(same_type_plan(spec, a, b)).encode())
+                    same += 1
+        assert same == 30
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestPlanBfs:
     def test_cross_component_unreachable(self, t4):
         spec = ComplexSpec(t4, ColorVector((3, 2)))
@@ -707,23 +748,19 @@ class TestExpander:
     """For every 0-cell, the int-key expander behind both breadth-first
     searches lists exactly the moves that the public is_valid_move and
     apply_move accept, in (color, source, adjacency) order: the order that
-    plan_bfs's canonical shortest plans depend on."""
+    plan_bfs's canonical shortest plans depend on.  The key decodes back to
+    the cell, and the working state's per-vertex views read from the key
+    agree with the cell's occupancy."""
 
     @staticmethod
-    def expanded(spec, cell):
-        """The expander's successors of a 0-cell, as (Move, Cell) pairs."""
+    def expanded(spec, expand, cell):
+        """The successors that ``expand``, the spec's expander, lists for a
+        0-cell, as (Move, Cell) pairs."""
         import stirling_complexes.planner as planner
 
-        n, r = spec.graph.n, spec.colors.r
-        full = (1 << n) - 1
-        key = planner._pack(n, planner._encode(cell))
-        return [
-            (
-                planner._move_between(n, key, nxt),
-                planner._decode(tuple(nxt >> c * n & full for c in range(r))),
-            )
-            for nxt in planner._expander(spec)(key)
-        ]
+        n = spec.graph.n
+        key = planner._encode(n, cell)
+        return [(planner._move_between(n, key, nxt), planner._decode(spec, nxt)) for nxt in expand(key)]
 
     @staticmethod
     def accepted(spec, cell):
@@ -737,16 +774,27 @@ class TestExpander:
         ]
 
     def check_all(self, ns):
+        import stirling_complexes.planner as planner
+
         checked = 0
         for n in ns:
             for g, sizes, cover in itertools.product(
                 connected_graphs(n), color_vectors(n), (True, False)
             ):
                 spec = ComplexSpec(g, ColorVector(sizes), require_cover=cover)
+                expand = planner._expander(spec)
                 for cell in enumerate_cells(spec, dim=0):
-                    assert self.expanded(spec, cell) == self.accepted(spec, cell), (
+                    assert self.expanded(spec, expand, cell) == self.accepted(spec, cell), (
                         g.edges, sizes, cover, cell
                     )
+                    assert planner._decode(spec, planner._encode(n, cell)) == cell
+                    state = planner._State(spec, cell)
+                    occupied = [set(occupancy(cell, v)) for v in range(n)]
+                    assert state.counts() == [len(colors) for colors in occupied], cell
+                    for v, colors in enumerate(occupied):
+                        assert state.colors_at(v) == colors, (cell, v)
+                        assert {c for c in range(len(sizes)) if state.holds(v, c)} == colors, (cell, v)
+                        assert state.available(v) == is_available(cell, v), (cell, v)
                     checked += 1
         return checked
 
