@@ -16,10 +16,10 @@ hexagon and 12-gon complexes.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
+from math import prod
 
 from .graphs import SimpleGraph
 
@@ -253,6 +253,7 @@ class _Part:
 def valid_parts(g: SimpleGraph, size: int) -> tuple[_Part, ...]:
     """All size-subsets of vertices and edges whose members are pairwise
     disjoint, in canonical order."""
+    full = (1 << g.n) - 1
     pool = [(v, 1 << v, False) for v in range(g.n)]
     pool += [(e, _closure_mask(e), True) for e in g.edges]
     out: list[_Part] = []
@@ -268,8 +269,10 @@ def valid_parts(g: SimpleGraph, size: int) -> tuple[_Part, ...]:
                     cover |= m
             out.append(_Part(tuple(el for el, _, _ in chosen), mask, cover, edge_count))
             return
-        # not enough elements left to fill the part
-        if len(pool) - start < size - len(chosen):
+        # not enough elements, or free vertices (each element takes one), left
+        # to fill the part
+        missing = size - len(chosen)
+        if len(pool) - start < missing or (full & ~mask).bit_count() < missing:
             return
         for idx in range(start, len(pool)):
             el, m, is_e = pool[idx]
@@ -478,38 +481,72 @@ def f_vector(spec: ComplexSpec):
     kept); with coverage off the length is the largest occupied dimension plus
     one.  An empty complex reports the single entry ``(0,)``.
 
-    A dynamic program over vertex masks folds the colors in one at a time:
-    the state maps the union of the chosen parts' masks (vertex covers, or
-    closures with coverage off) to the number of partial cells per dimension,
-    and each color's parts enter grouped by (mask, edge count).
+    A dynamic program over vertex masks folds the colors in one at a time.
+    Its state maps the union of the chosen parts' masks (vertex covers, or
+    closures with coverage off) to one int that holds the number of partial
+    cells of dimension d in bits ``d*B`` to ``(d+1)*B``.  No count exceeds
+    the product of the colors' part counts, and the field width ``B`` is one
+    bit wider than that product, so no field carries into the next.  The
+    parts with one mask have one edge count e, so a color's k parts with mask
+    m enter as the one weight ``k << e*B``, and a step multiplies by it.
+
+    With coverage on, a union that leaves more vertices uncovered than the
+    later colors have robots is dropped (the cover bound), and the last color
+    is joined into the full mask only: each state takes the summed weights
+    of the masks that hold every vertex it still misses, read from a table
+    filled once per mask over its subsets.  With coverage off the closures
+    of all colors must be disjoint, and every union is summed.
     """
     cover = spec.require_cover
-    state: dict[int, dict[int, int]] = {0: {0: 1}}
-    for parts in _parts_by_color(spec):
-        groups = Counter((p.cover if cover else p.closure, p.edge_count) for p in parts)
-        nxt: dict[int, dict[int, int]] = {}
-        for mask, dims in state.items():
-            for (m, e), k in groups.items():
-                # with coverage off the closures of all colors are disjoint
-                if not cover and mask & m:
+    per_color = _parts_by_color(spec)
+    width = prod(map(len, per_color)).bit_length() + 1
+    n = spec.graph.n
+    full = (1 << n) - 1
+    # cap[idx]: the most vertices that colors idx.. can still cover
+    cap = _suffix_sums(spec.colors.sizes)
+    last = len(per_color) - 1
+    state = {0: 1}
+    for idx, parts in enumerate(per_color):
+        weights: dict[int, int] = {}
+        for p in parts:
+            m = p.cover if cover else p.closure
+            weights[m] = weights.get(m, 0) + (1 << p.edge_count * width)
+        if cover and idx == last:
+            # fits[need]: the summed weights of the masks that hold need
+            fits: dict[int, int] = {}
+            for m, w in weights.items():
+                sub = m
+                while True:
+                    fits[sub] = fits.get(sub, 0) + w
+                    if not sub:
+                        break
+                    sub = (sub - 1) & m
+            state = {full: sum(packed * fits.get(full & ~mask, 0) for mask, packed in state.items())}
+            break
+        least = n - cap[idx + 1]
+        nxt: dict[int, int] = {}
+        for mask, packed in state.items():
+            for m, w in weights.items():
+                u = mask | m
+                if cover:
+                    if u.bit_count() < least:
+                        continue
+                elif mask & m:
                     continue
-                acc = nxt.setdefault(mask | m, {})
-                for d, c in dims.items():
-                    acc[d + e] = acc.get(d + e, 0) + c * k
+                nxt[u] = nxt.get(u, 0) + packed * w
         state = nxt
-    full = (1 << spec.graph.n) - 1
-    counts: dict[int, int] = {}
-    for mask, dims in state.items():
-        if cover and mask != full:
-            continue
-        for d, c in dims.items():
-            counts[d] = counts.get(d, 0) + c
+    total = sum(state.values())
+    field = (1 << width) - 1
+    counts = []
+    while total:
+        counts.append(total & field)
+        total >>= width
     if not counts:
         return (0,)
-    length = (max_dimension(spec) if cover else max(counts)) + 1
-    if max(counts) >= length:
-        raise RuntimeError(f"internal: a cell of dimension {max(counts)} exceeds {length - 1}")
-    return tuple(counts.get(i, 0) for i in range(length))
+    length = max_dimension(spec) + 1 if cover else len(counts)
+    if len(counts) > length:
+        raise RuntimeError(f"internal: a cell of dimension {len(counts) - 1} exceeds {length - 1}")
+    return tuple(counts) + (0,) * (length - len(counts))
 
 
 def format_element(el) -> str:

@@ -1,5 +1,7 @@
 import itertools
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,7 +31,14 @@ from stirling_complexes import (
     uniform_cell_counts,
     valid_parts,
 )
-from stirling_complexes.complexes import _low_parts
+from stirling_complexes.complexes import _low_parts, element_key
+
+# The benchmark's reference module counts cells by inclusion-exclusion and
+# imports nothing from the package; its workloads module names the complexes
+# that ``stirling count`` is benchmarked on.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import reference as bench_reference  # noqa: E402
+import workloads as bench_workloads  # noqa: E402
 
 
 def closed_form(spec):
@@ -317,6 +326,79 @@ class TestCountingDifferential:
     @pytest.mark.slow
     def test_every_connected_graph_on_five_vertices(self):
         assert self.check_all(5) == 21 * 56 * 2
+
+
+class TestReferenceOracle:
+    """f_vector against the benchmark's inclusion-exclusion count on six or
+    more vertices, where the exhaustive differential does not reach."""
+
+    @pytest.mark.parametrize("label", bench_workloads.CountWorkload.labels + ("K8:4,4,4", "C10:4,4,4"))
+    def test_inclusion_exclusion(self, label):
+        s = bench_workloads.Spec.parse(label)
+        spec = ComplexSpec(SimpleGraph.from_edges(s.n, s.edges), ColorVector(s.sizes))
+        assert f_vector(spec) == bench_reference.f_vector(s.n, s.edges, s.sizes)
+
+    def test_uniform_closed_form(self):
+        g = parse_graph_name("K7")
+        fv = f_vector(ComplexSpec(g, ColorVector.uniform(6, 4)))
+        formula = uniform_cell_counts(g, 4)
+        assert len(fv) == 24 - 7 + 1
+        assert fv == pad(formula, len(fv))
+
+
+class TestPacking:
+    """The edge cases of the DP's packed counts and of its last color."""
+
+    def test_one_color_fills_the_field_width(self):
+        # with one color and coverage off every part is a cell, so the counts
+        # sum to the bound that sizes each field
+        g = parse_graph_name("K7")
+        fv = f_vector(ComplexSpec(g, ColorVector((3,)), require_cover=False))
+        parts = valid_parts(g, 3)
+        assert sum(fv) == len(parts)
+        assert fv == tuple(Counter(p.edge_count for p in parts)[d] for d in range(len(fv)))
+
+    # P8 3,3,3 and K6 3,3,2 have more robots than vertices, so with coverage
+    # off they are empty although every color has parts
+    @pytest.mark.parametrize(
+        "name, sizes",
+        [("P8", (3, 3, 3)), ("K6", (3, 3, 2)), ("P8", (3, 2, 2)), ("K7", (2, 2)), ("K8", (2, 2, 1)), ("P10", (2, 2, 2))],
+    )
+    def test_coverage_off_matches_the_walk(self, name, sizes):
+        spec = ComplexSpec(parse_graph_name(name), ColorVector(sizes), require_cover=False)
+        dims = Counter(cell.dimension for cell in enumerate_cells(spec))
+        assert f_vector(spec) == tuple(dims[d] for d in range(max(dims, default=0) + 1))
+
+    @pytest.mark.parametrize("cover", [True, False])
+    def test_color_without_parts(self, p3, cover):
+        assert valid_parts(p3, 5) == ()
+        for sizes in ((5,), (2, 5), (5, 1, 1)):
+            assert f_vector(ComplexSpec(p3, ColorVector(sizes), require_cover=cover)) == (0,)
+
+    @pytest.mark.parametrize("name", ["P3", "C4", "K4", "T5", "K6"])
+    def test_one_covering_color(self, name):
+        # the first color is also the last: only a part of n vertices covers
+        g = parse_graph_name(name)
+        for size in range(1, g.n + 2):
+            spec = ComplexSpec(g, ColorVector((size,)))
+            fv = f_vector(spec)
+            assert fv == ((1,) if size == g.n else (0,))
+            assert sum(fv) == sum(1 for _ in enumerate_cells(spec))
+
+
+class TestValidParts:
+    def test_complete_graph_parts_of_size_n_minus_one(self):
+        # each element takes a free vertex, so a part of 11 on K12 is 11
+        # vertices, or one edge and the 10 vertices off it
+        g = parse_graph_name("K12")
+        vertices = set(range(12))
+        expected = [tuple(sorted(vertices - {v})) for v in range(12)]
+        expected += [tuple(sorted(vertices - set(e))) + (e,) for e in g.edges]
+        expected.sort(key=lambda elements: [element_key(el) for el in elements])
+        parts = valid_parts(g, 11)
+        assert [p.elements for p in parts] == expected
+        assert len(parts) == 12 + 66
+        assert [p.edge_count for p in parts] == [int(isinstance(els[-1], tuple)) for els in expected]
 
 
 class TestLowParts:
