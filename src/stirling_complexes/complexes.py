@@ -469,9 +469,18 @@ def _zero_cells(spec: ComplexSpec, keys) -> tuple[Cell, ...]:
     n = spec.graph.n
     full = (1 << n) - 1
     shifts = range(0, n * spec.colors.r, n)
-    masks = {key >> shift & full for key in keys for shift in shifts}
-    parts = {mask: tuple(v for v in range(n) if mask >> v & 1) for mask in masks}
-    return tuple(Cell(tuple(parts[key >> shift & full] for shift in shifts)) for key in keys)
+    parts: dict[int, tuple[int, ...]] = {}  # a mask's part, made when the mask is first seen
+    cells = []
+    for key in keys:
+        row = []
+        for shift in shifts:
+            mask = key >> shift & full
+            part = parts.get(mask)
+            if part is None:
+                part = parts[mask] = tuple(v for v in range(n) if mask >> v & 1)
+            row.append(part)
+        cells.append(Cell(tuple(row)))
+    return tuple(cells)
 
 
 def f_vector(spec: ComplexSpec):

@@ -21,14 +21,14 @@ a fixed order.
 Inside the planner a 0-cell is one int key in the 1-skeleton's layout: color
 c's vertex mask in bits ``c*n`` to ``(c+1)*n``.  A move flips two of its bits,
 and a ``Cell`` is built only at the public boundary.  The two breadth-first
-searches, ``plan_bfs`` and the swap search, store only parent keys; a ``Move``
-is built only for the moves on the returned path, read from the two bits in
-which a key differs from its parent.
+searches, ``plan_bfs`` and the swap search, grow from both ends and store
+only keys: the swap search a parent key per key, ``plan_bfs`` a depth per
+key.  A ``Move`` is built only for the moves on the returned path, read from
+the two bits in which a key differs from the one before it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .complexes import (
@@ -222,13 +222,22 @@ def _move_state(spec: ComplexSpec, cell: Cell) -> int:
     """The key of a cell passed to a public move function."""
     if cell.dimension != 0:
         raise ValueError("moves are defined on 0-cells")
-    n = spec.graph.n
-    if len(cell.parts) != spec.colors.r or any(
-        len(set(part)) != len(part) or not all(0 <= v < n for v in part)
-        for part in cell.parts
-    ):
-        raise ValueError(f"{format_cell(cell)} is not a 0-cell of this graph and color count")
-    return _encode(n, cell)
+    n, r = spec.graph.n, spec.colors.r
+    if len(cell.parts) == r:
+        key = 0
+        for shift, part in zip(range(0, n * r, n), cell.parts):
+            mask = 0
+            for v in part:
+                if not 0 <= v < n:
+                    break
+                mask |= 1 << v
+            # Fewer bits than vertices: one was out of range or repeated.
+            if mask.bit_count() != len(part):
+                break
+            key |= mask << shift
+        else:
+            return key
+    raise ValueError(f"{format_cell(cell)} is not a 0-cell of this graph and color count")
 
 
 def is_valid_move(spec: ComplexSpec, cell: Cell, move: Move) -> bool:
@@ -721,29 +730,65 @@ def plan(spec: ComplexSpec, start: Cell, goal: Cell) -> MovePlan:
     return _verified(MovePlan(spec, start, tuple(moves), goal))
 
 
+def _first_shortest(expand, source: int, target: int) -> list[int] | None:
+    """The forward breadth-first tree's path of keys from ``source`` to a
+    different ``target``, the first shortest path in expansion order, or None
+    when no move sequence joins them.
+
+    Each round grows the end with the smaller frontier by one whole layer,
+    recording each key's depth from its own end, until a layer touches the
+    other end's ball: with radii a and b the distance is a + b.  The keys at
+    forward depth k that ``expand`` lists from a key of depth k + 1 on a
+    shortest path lie on one too (moves are reversible), so these are marked
+    back from the meeting keys; the walk from the source then takes the first
+    successor on a shortest path at each step.
+    """
+    depths = ({source: 0}, {target: 0})
+    fronts = [[source], [target]]
+    radii = [0, 0]
+    while True:
+        side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+        seen, other = depths[side], depths[1 - side]
+        radii[side] += 1
+        layer = []
+        for key in fronts[side]:
+            for nxt in expand(key):
+                if nxt not in seen:
+                    seen[nxt] = radii[side]
+                    layer.append(nxt)
+        if not layer:
+            return None
+        fronts[side] = layer
+        if any(key in other for key in layer):
+            break
+    (a, b), (forward, backward) = radii, depths
+    on = [set() for _ in range(a)] + [{key for key in fronts[0] if backward.get(key) == b}]
+    for k in range(a - 1, 0, -1):
+        on[k] = {nxt for key in on[k + 1] for nxt in expand(key) if forward.get(nxt) == k}
+    path = [source]
+    for k in range(1, a + b + 1):
+        if k < a:
+            path.append(next(nxt for nxt in expand(path[-1]) if nxt in on[k]))
+        else:
+            path.append(next(nxt for nxt in expand(path[-1]) if backward.get(nxt) == a + b - k))
+    return path
+
+
 def plan_bfs(spec: ComplexSpec, start: Cell, goal: Cell) -> MovePlan | None:
-    """Shortest move sequence via breadth-first search over the 1-skeleton,
-    or None when the goal is unreachable.  Works for any color count."""
+    """A shortest move sequence over the 1-skeleton, or None when the goal is
+    unreachable; works for any color count.  The plan is the forward
+    breadth-first tree's path, the first shortest plan in expansion order
+    (color, source vertex, target vertex), found by a bidirectional search."""
     _require_zero_cell(spec, start, "start")
     _require_zero_cell(spec, goal, "goal")
     if start == goal:
         return _verified(MovePlan(spec, start, (), goal))
     n = spec.graph.n
-    expand = _expander(spec)
-    source, target = _encode(n, start), _encode(n, goal)
-    parent: dict[int, int | None] = {source: None}
-    queue = deque([source])
-    while queue:
-        key = queue.popleft()
-        for nxt in expand(key):
-            if nxt in parent:
-                continue
-            parent[nxt] = key
-            if nxt == target:
-                moves = tuple(_moves_back(n, parent, nxt)[::-1])
-                return _verified(MovePlan(spec, start, moves, goal))
-            queue.append(nxt)
-    return None
+    keys = _first_shortest(_expander(spec), _encode(n, start), _encode(n, goal))
+    if keys is None:
+        return None
+    moves = tuple(_move_between(n, before, after) for before, after in zip(keys, keys[1:]))
+    return _verified(MovePlan(spec, start, moves, goal))
 
 
 def verify_plan(plan: MovePlan) -> PlanVerification:

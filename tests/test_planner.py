@@ -198,6 +198,7 @@ class TestMoves:
         for bad in (
             Cell.make([(0, 3), (0, 2), (0,)]),
             Cell.make([(-1, 1), (0, 2), (0,)]),
+            Cell.make([(0, 0), (0, 2), (0,)]),
             Cell.make([(0, 1), (0, 2)]),
         ):
             with pytest.raises(ValueError):
@@ -836,6 +837,45 @@ class TestBfsDifferential:
                 assert found is not None and found.end == goal
                 assert found.moves == reference_moves(parent, goal)
                 assert len(found.moves) == dist[b]
+
+    SPIDER = SimpleGraph(7, ((0, 1), (0, 3), (0, 5), (1, 2), (3, 4), (5, 6)))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            pytest.param(generate_named("cycle", 6), id="C6"),
+            pytest.param(generate_named("path", 7), id="P7"),
+            pytest.param(generate_named("path", 6), id="P6", marks=pytest.mark.slow),
+            pytest.param(generate_named("star", 6), id="T6", marks=pytest.mark.slow),
+            pytest.param(generate_named("cycle", 7), id="C7", marks=pytest.mark.slow),
+            pytest.param(SPIDER, id="S7", marks=pytest.mark.slow),
+        ],
+    )
+    def test_search_workload_complexes(self, graph):
+        """On the benchmark's shortest-plan complexes (colors 3,3,2, about
+        1400 0-cells each), plan_bfs returns the reference search's moves
+        from two seeded starts to every goal."""
+        spec = ComplexSpec(graph, ColorVector((3, 3, 2)))
+        cells = list(enumerate_cells(spec, dim=0))
+        for start in random.Random(17).sample(cells, 2):
+            parent = reference_bfs_parents(spec, start)
+            assert len(parent) == len(cells)
+            for goal in cells:
+                assert plan_bfs(spec, start, goal).moves == reference_moves(parent, goal), (start, goal)
+
+    def test_unreachable_across_components_of_unequal_size(self):
+        """Two colors of two robots on a 5-cycle with coverage off: the
+        complex has one component of 10 0-cells and one of 20, and plan_bfs
+        gives None from every 0-cell of either to every 0-cell of the other."""
+        spec = ComplexSpec(generate_named("cycle", 5), ColorVector((2, 2)), require_cover=False)
+        sk = build_one_skeleton(spec)
+        _, labels = component_labels(sk)
+        small, large = sorted(
+            ([cell for cell, label in zip(sk.nodes, labels) if label == c] for c in set(labels)), key=len
+        )
+        assert (len(small), len(large)) == (10, 20)
+        for a, b in itertools.product(small, large):
+            assert plan_bfs(spec, a, b) is None and plan_bfs(spec, b, a) is None
 
     def test_keys_wider_than_a_machine_word(self):
         """Two robots on a 33-vertex path with coverage off: a state's key
