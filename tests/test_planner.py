@@ -699,13 +699,16 @@ class TestPinnedPlans:
     """The constructive plans, pinned: one digest over the text of ``plan``
     for 30 seeded pairs of 0-cells per complex, and of ``same_type_plan`` for
     the pairs of the same type.  P7 (3,3,2) and P8 (3,3,3) send the most
-    swaps to the swap search."""
+    swaps to the swap search.  The plan lengths are pinned apart from the
+    text, so a change that picks other moves of the same count shows as
+    such."""
 
     LABELS = ("K5:3,3,3", "T5:3,3,3", "C6:3,3,2", "C7:3,3,3", "P5:3,2,1", "P6:3,2,2", "P7:3,3,2", "P8:3,3,3")
     DIGEST = "31e3e5c663219ea48e49e4f2623f1f09461dbb43cfcdff847264bbcf80579a5f"
+    MOVES = 6602
+    LENGTHS_DIGEST = "3c92c69f72e067f936744e47ca207930d7f1b45b0765bd6735ff30c133abcaa1"
 
-    def test_plans_are_unchanged(self):
-        digest, same = hashlib.sha256(), 0
+    def plans(self):
         for label in self.LABELS:
             name, sizes = label.split(":")
             spec = ComplexSpec(parse_graph_name(name), ColorVector.parse(sizes))
@@ -713,12 +716,23 @@ class TestPinnedPlans:
             rng = random.Random(label)
             for _ in range(30):
                 a, b = rng.choice(cells), rng.choice(cells)
-                digest.update(format_plan(plan(spec, a, b)).encode())
+                yield plan(spec, a, b)
                 if same_type(a, b):
-                    digest.update(format_plan(same_type_plan(spec, a, b)).encode())
-                    same += 1
-        assert same == 30
+                    yield same_type_plan(spec, a, b)
+
+    def test_plans_are_unchanged(self):
+        digest, count = hashlib.sha256(), 0
+        for result in self.plans():
+            digest.update(format_plan(result).encode())
+            count += 1
+        assert count == 8 * 30 + 30
         assert digest.hexdigest() == self.DIGEST
+
+    def test_plan_lengths_are_unchanged(self):
+        lengths = [len(result.moves) for result in self.plans()]
+        assert len(lengths) == 8 * 30 + 30
+        assert sum(lengths) == self.MOVES
+        assert hashlib.sha256(str(lengths).encode()).hexdigest() == self.LENGTHS_DIGEST
 
 
 class TestPlanBfs:
