@@ -504,14 +504,15 @@ def f_vector(spec: ComplexSpec):
     is joined into the full mask only: each state takes the summed weights
     of the masks that hold every vertex it still misses, read from a table
     filled once per mask over its subsets.  With coverage off the closures
-    of all colors must be disjoint, and every union is summed.
+    of all colors must be disjoint, and a union that leaves fewer vertices
+    free than the later colors have robots is dropped (free-vertex bound).
     """
     cover = spec.require_cover
     per_color = _parts_by_color(spec)
     width = prod(map(len, per_color)).bit_length() + 1
     n = spec.graph.n
     full = (1 << n) - 1
-    # cap[idx]: the most vertices that colors idx.. can still cover
+    # cap[idx]: the robots of colors idx.., the most vertices they can cover
     cap = _suffix_sums(spec.colors.sizes)
     last = len(per_color) - 1
     state = {0: 1}
@@ -540,7 +541,7 @@ def f_vector(spec: ComplexSpec):
                 if cover:
                     if u.bit_count() < least:
                         continue
-                elif mask & m:
+                elif mask & m or u.bit_count() > least:
                     continue
                 nxt[u] = nxt.get(u, 0) + packed * w
         state = nxt

@@ -1,4 +1,11 @@
-"""Simple undirected graphs: parsing, generators, and breadth-first search."""
+"""Simple undirected graphs: parsing, generators, and breadth-first search.
+
+``_first_shortest`` is the package's one shortest-path search: a
+bidirectional breadth-first search over any reversible successor function,
+which returns the first shortest path in expansion order.  ``shortest_path``
+runs it on the sorted adjacency lists of a graph, and the planner runs it on
+the move graph of 0-cells, for ``plan_bfs`` and for the swap search.
+"""
 
 from __future__ import annotations
 
@@ -159,9 +166,66 @@ def parse_graph_name(name: str) -> SimpleGraph:
     return generate_named(GRAPH_FAMILIES[match.group(1)], int(match.group(2)))
 
 
+def _first_shortest(expand, source, target) -> list | None:
+    """The forward breadth-first tree's path from ``source`` to ``target``,
+    the first shortest path in ``expand`` order, or None when there is none.
+
+    ``expand(key)`` lists the keys one step from ``key``, and every step must
+    be reversible.  Each round grows the end with the smaller frontier by one
+    whole layer, keeping a parent per key on the forward end and a depth per
+    key on the backward end.  A forward layer is built in the lexicographic
+    order of its tree paths, so the first key it reaches in the backward ball
+    is where the path crosses; after a backward layer, the crossing is the
+    first key of the forward frontier in the grown ball.  All such keys have
+    one backward depth, as the two balls were disjoint a layer earlier.  The
+    path follows the parents from the crossing back to the source, then walks
+    to the target, each time taking the first successor one step nearer.
+    """
+    if source == target:
+        return [source]
+    parents, depths = {source: None}, {target: 0}
+
+    def crossing():
+        forward, backward, radius = [source], [target], 0
+        while forward and backward:
+            layer = []
+            if len(forward) <= len(backward):
+                for key in forward:
+                    for nxt in expand(key):
+                        if nxt not in parents:
+                            parents[nxt] = key
+                            if nxt in depths:
+                                return nxt
+                            layer.append(nxt)
+                forward = layer
+            else:
+                radius += 1
+                for key in backward:
+                    for nxt in expand(key):
+                        if nxt not in depths:
+                            depths[nxt] = radius
+                            layer.append(nxt)
+                backward = layer
+                met = next((key for key in forward if key in depths), None)
+                if met is not None:
+                    return met
+        return None
+
+    met = crossing()
+    if met is None:
+        return None
+    path = [met]
+    while (parent := parents[path[-1]]) is not None:
+        path.append(parent)
+    path.reverse()
+    for depth in range(depths[met] - 1, -1, -1):
+        path.append(next(nxt for nxt in expand(path[-1]) if depths.get(nxt) == depth))
+    return path
+
+
 def shortest_path(g: SimpleGraph, u: int, v: int, forbidden=()) -> tuple[int, ...]:
     """Shortest vertex sequence from u to v; ties break to the lexicographically
-    smallest sequence (scan from u, always taking the smallest usable neighbor).
+    smallest sequence, the first shortest path in sorted adjacency order.
 
     ``forbidden`` vertices may not appear anywhere on the path.  Raises
     ``NoPathError`` when v is unreachable under that restriction.
@@ -171,21 +235,10 @@ def shortest_path(g: SimpleGraph, u: int, v: int, forbidden=()) -> tuple[int, ..
     blocked = set(forbidden)
     if u in blocked or v in blocked:
         raise NoPathError(f"endpoint of ({u}, {v}) is forbidden")
-    dist = {v: 0}
-    queue = deque([v])
-    while queue:
-        w = queue.popleft()
-        for x in g.adjacency[w]:
-            if x not in dist and x not in blocked:
-                dist[x] = dist[w] + 1
-                queue.append(x)
-    if u not in dist:
+    adjacency = g.adjacency
+    path = _first_shortest(lambda w: [x for x in adjacency[w] if x not in blocked], u, v)
+    if path is None:
         raise NoPathError(f"no path from {u} to {v}")
-    path = [u]
-    cur = u
-    while cur != v:
-        cur = min(w for w in g.adjacency[cur] if dist.get(w, -1) == dist[cur] - 1)
-        path.append(cur)
     return tuple(path)
 
 

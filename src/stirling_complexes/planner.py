@@ -15,16 +15,16 @@ search for that one swap.
 
 Plans are deterministic: every free choice (borrowed color, donor vertex,
 path) resolves to the smallest index, graph paths are lexicographically
-smallest breadth-first shortest paths, and the swap search expands states in
-a fixed order.
+smallest breadth-first shortest paths, and the swap search returns the first
+shortest move sequence in expansion order.
 
 Inside the planner a 0-cell is one int key in the 1-skeleton's layout: color
 c's vertex mask in bits ``c*n`` to ``(c+1)*n``.  A move flips two of its bits,
 and a ``Cell`` is built only at the public boundary.  The two breadth-first
-searches, ``plan_bfs`` and the swap search, grow from both ends and store
-only keys: the swap search a parent key per key, ``plan_bfs`` a depth per
-key.  A ``Move`` is built only for the moves on the returned path, read from
-the two bits in which a key differs from the one before it.
+searches, ``plan_bfs`` and the swap search, run ``graphs._first_shortest``
+on keys, keeping a parent key per key forward and a depth per key backward.
+A ``Move`` is built only for the moves on the returned path, read from the
+two bits in which a key differs from the one before it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .complexes import (
     parse_cell,
     same_type,
 )
-from .graphs import is_connected, shortest_path
+from .graphs import _first_shortest, is_connected, shortest_path
 
 
 class PlanningError(ValueError):
@@ -437,58 +437,18 @@ def _swap_adjacent(state: _State, x: int, y: int, i: int, j: int) -> None:
     _search_swap(state, x, y, i, j)
 
 
-def _moves_back(n: int, parents: dict[int, int | None], key: int) -> list[Move]:
-    """The moves on the parent chain from ``key`` back to its root, last move
-    first; ``parents`` maps each key to its parent key, or to None at the
-    root."""
-    moves = []
-    while (parent := parents[key]) is not None:
-        moves.append(_move_between(n, parent, key))
-        key = parent
-    return moves
-
-
 def _search_swap(state: _State, x: int, y: int, i: int, j: int) -> None:
     """Swap across the bare edge (x, y) when every available vertex carries
-    exactly the colors i and j, by a bidirectional breadth-first search.
-
-    One search starts from the current state, the other from the same state
-    with x and y exchanged between i and j; each round grows the smaller
-    frontier by one level.  The move graph is undirected, so the first state
-    reached from both sides lies on a shortest move sequence, and the fixed
-    expansion order makes it deterministic.  The goal is reachable whenever
-    the complex is path-connected, as the calling hypotheses guarantee.  The
-    moves are replayed through the working state, which checks each one.
-    """
-    n = state.graph.n
-    expand = _expander(state.spec)
-    root = state.key
-    ends = (1 << x) | (1 << y)
-    goal = root ^ ends << i * n ^ ends << j * n
-    # Each side maps a reached key to its parent toward that side's root.
-    sides = ({root: None}, {goal: None})
-    fronts = [[root], [goal]]
-    meet = None
-    while meet is None and fronts[0] and fronts[1]:
-        side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
-        seen, other = sides[side], sides[1 - side]
-        layer = []
-        for current in fronts[side]:
-            for nxt in expand(current):
-                if nxt in seen:
-                    continue
-                seen[nxt] = current
-                if nxt in other:
-                    meet = nxt
-                    break
-                layer.append(nxt)
-            if meet is not None:
-                break
-        fronts[side] = layer
-    _ensure(meet is not None, f"no move sequence exchanges colors ({i}, {j}) between ({x}, {y})")
-    forward = _moves_back(n, sides[0], meet)[::-1]
-    backward = [mv.flipped() for mv in _moves_back(n, sides[1], meet)]
-    for mv in forward + backward:
+    exactly the colors i and j: the first shortest move sequence, in
+    expansion order, to the current state with x and y exchanged between i
+    and j.  The goal is reachable whenever the complex is path-connected, as
+    the calling hypotheses guarantee.  The moves are replayed through the
+    working state, which checks each one."""
+    n, ends = state.graph.n, (1 << x) | (1 << y)
+    keys = _first_shortest(_expander(state.spec), state.key, state.key ^ ends << i * n ^ ends << j * n)
+    _ensure(keys is not None, f"no move sequence exchanges colors ({i}, {j}) between ({x}, {y})")
+    for before, after in zip(keys, keys[1:]):
+        mv = _move_between(n, before, after)
         state.move(mv.color, mv.source, mv.target)
 
 
@@ -730,50 +690,6 @@ def plan(spec: ComplexSpec, start: Cell, goal: Cell) -> MovePlan:
     return _verified(MovePlan(spec, start, tuple(moves), goal))
 
 
-def _first_shortest(expand, source: int, target: int) -> list[int] | None:
-    """The forward breadth-first tree's path of keys from ``source`` to a
-    different ``target``, the first shortest path in expansion order, or None
-    when no move sequence joins them.
-
-    Each round grows the end with the smaller frontier by one whole layer,
-    recording each key's depth from its own end, until a layer touches the
-    other end's ball: with radii a and b the distance is a + b.  The keys at
-    forward depth k that ``expand`` lists from a key of depth k + 1 on a
-    shortest path lie on one too (moves are reversible), so these are marked
-    back from the meeting keys; the walk from the source then takes the first
-    successor on a shortest path at each step.
-    """
-    depths = ({source: 0}, {target: 0})
-    fronts = [[source], [target]]
-    radii = [0, 0]
-    while True:
-        side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
-        seen, other = depths[side], depths[1 - side]
-        radii[side] += 1
-        layer = []
-        for key in fronts[side]:
-            for nxt in expand(key):
-                if nxt not in seen:
-                    seen[nxt] = radii[side]
-                    layer.append(nxt)
-        if not layer:
-            return None
-        fronts[side] = layer
-        if any(key in other for key in layer):
-            break
-    (a, b), (forward, backward) = radii, depths
-    on = [set() for _ in range(a)] + [{key for key in fronts[0] if backward.get(key) == b}]
-    for k in range(a - 1, 0, -1):
-        on[k] = {nxt for key in on[k + 1] for nxt in expand(key) if forward.get(nxt) == k}
-    path = [source]
-    for k in range(1, a + b + 1):
-        if k < a:
-            path.append(next(nxt for nxt in expand(path[-1]) if nxt in on[k]))
-        else:
-            path.append(next(nxt for nxt in expand(path[-1]) if backward.get(nxt) == a + b - k))
-    return path
-
-
 def plan_bfs(spec: ComplexSpec, start: Cell, goal: Cell) -> MovePlan | None:
     """A shortest move sequence over the 1-skeleton, or None when the goal is
     unreachable; works for any color count.  The plan is the forward
@@ -781,8 +697,6 @@ def plan_bfs(spec: ComplexSpec, start: Cell, goal: Cell) -> MovePlan | None:
     (color, source vertex, target vertex), found by a bidirectional search."""
     _require_zero_cell(spec, start, "start")
     _require_zero_cell(spec, goal, "goal")
-    if start == goal:
-        return _verified(MovePlan(spec, start, (), goal))
     n = spec.graph.n
     keys = _first_shortest(_expander(spec), _encode(n, start), _encode(n, goal))
     if keys is None:

@@ -358,11 +358,19 @@ class TestPacking:
         assert sum(fv) == len(parts)
         assert fv == tuple(Counter(p.edge_count for p in parts)[d] for d in range(len(fv)))
 
-    # P8 3,3,3 and K6 3,3,2 have more robots than vertices, so with coverage
-    # off they are empty although every color has parts
+    # P8 3,3,3, K6 3,3,2 and C10 4,4,4 have more robots than vertices, so
+    # with coverage off they are empty, (0,), although every color has parts
     @pytest.mark.parametrize(
         "name, sizes",
-        [("P8", (3, 3, 3)), ("K6", (3, 3, 2)), ("P8", (3, 2, 2)), ("K7", (2, 2)), ("K8", (2, 2, 1)), ("P10", (2, 2, 2))],
+        [
+            ("P8", (3, 3, 3)),
+            ("K6", (3, 3, 2)),
+            ("P8", (3, 2, 2)),
+            ("K7", (2, 2)),
+            ("K8", (2, 2, 1)),
+            ("P10", (2, 2, 2)),
+            ("C10", (4, 4, 4)),
+        ],
     )
     def test_coverage_off_matches_the_walk(self, name, sizes):
         spec = ComplexSpec(parse_graph_name(name), ColorVector(sizes), require_cover=False)

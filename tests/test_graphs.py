@@ -1,3 +1,7 @@
+import itertools
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,13 +16,12 @@ from stirling_complexes import (
     parse_graph_name,
     shortest_path,
 )
+from stirling_complexes.graphs import _first_shortest
 
 
 def random_graph_strategy(max_n=6):
     def build(draw_pair):
         n, picks = draw_pair
-        import itertools
-
         pool = list(itertools.combinations(range(n), 2))
         chosen = [pool[i % len(pool)] for i in picks] if pool else []
         return SimpleGraph.from_edges(n, chosen)
@@ -196,15 +199,60 @@ class TestShortestPath:
     def test_never_longer_than_any_simple_path(self, g, data):
         u = data.draw(st.integers(min_value=0, max_value=g.n - 1))
         v = data.draw(st.integers(min_value=0, max_value=g.n - 1))
-        candidates = all_simple_paths(g, u, v)
+        forbidden = tuple(sorted(data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1))) - {u, v}))
+        candidates = [p for p in all_simple_paths(g, u, v) if not set(p) & set(forbidden)]
         if not candidates:
             with pytest.raises(NoPathError):
-                shortest_path(g, u, v)
+                shortest_path(g, u, v, forbidden=forbidden)
             return
-        found = shortest_path(g, u, v)
+        found = shortest_path(g, u, v, forbidden=forbidden)
         best = min(len(p) for p in candidates)
         assert len(found) == best
         assert found == min(p for p in candidates if len(p) == best)
+
+
+class TestFirstShortest:
+    """The shared shortest-path search against a plain one-sided
+    breadth-first tree, on seeded random graphs whose neighbor lists are
+    shuffled: there the first shortest path in expansion order is not the
+    lexicographically smallest one, so the search's forward stop and its walk
+    to the target must follow ``expand`` order, not vertex order."""
+
+    @staticmethod
+    def tree_path(expand, source, target):
+        """The path to ``target`` in the breadth-first tree from ``source``,
+        where a key's parent is the key that first discovers it."""
+        parent = {source: None}
+        queue = deque([source])
+        while queue:
+            key = queue.popleft()
+            for nxt in expand(key):
+                if nxt not in parent:
+                    parent[nxt] = key
+                    queue.append(nxt)
+        if target not in parent:
+            return None
+        path = [target]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path[::-1]
+
+    def test_matches_a_one_sided_tree_under_shuffled_order(self):
+        unreachable = unsorted = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(1, 7)
+            pairs = list(itertools.combinations(range(n), 2))
+            g = SimpleGraph.from_edges(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+            expand = [rng.sample(adj, len(adj)) for adj in g.adjacency].__getitem__
+            for u, v in itertools.product(range(n), repeat=2):
+                expected = self.tree_path(expand, u, v)
+                assert _first_shortest(expand, u, v) == expected, (seed, u, v)
+                if expected is None:
+                    unreachable += 1
+                elif tuple(expected) != shortest_path(g, u, v):
+                    unsorted += 1
+        assert unreachable > 0 and unsorted > 0
 
 
 class TestConnectivity:

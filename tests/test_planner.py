@@ -704,7 +704,7 @@ class TestPinnedPlans:
     such."""
 
     LABELS = ("K5:3,3,3", "T5:3,3,3", "C6:3,3,2", "C7:3,3,3", "P5:3,2,1", "P6:3,2,2", "P7:3,3,2", "P8:3,3,3")
-    DIGEST = "31e3e5c663219ea48e49e4f2623f1f09461dbb43cfcdff847264bbcf80579a5f"
+    DIGEST = "7f4811fd2108a903e46b4c08f3fdc4d0043393bb3b4235f582f6d7bc62928c3e"
     MOVES = 6602
     LENGTHS_DIGEST = "3c92c69f72e067f936744e47ca207930d7f1b45b0765bd6735ff30c133abcaa1"
 
