@@ -19,11 +19,11 @@ from .complexes import (
     ComplexSpec,
     EmptyComplexError,
     _zero_cells,
+    _zero_key,
     enumerate_cells,
     f_vector,
     format_cell,
     parse_cell,
-    is_valid_cell,
 )
 from .counting import two_one_cell_counts, uniform_cell_counts, wedge_count
 from .graphs import EdgeListError, SimpleGraph, is_connected, parse_edge_list, parse_graph_name
@@ -190,11 +190,11 @@ def cmd_enumerate(args) -> int:
 def cmd_components(args) -> int:
     spec = _load_spec(args)
     try:
-        keys, arcs = _keyed_skeleton(spec)
+        keys, firsts, seconds = _keyed_skeleton(spec)
     except EmptyComplexError:
         print("the complex is empty", file=sys.stderr)
         return EXIT_EMPTY_OR_UNREACHABLE
-    count, labels = _labels(len(keys), arcs)
+    count, labels = _labels(len(keys), zip(firsts, seconds))
     sizes = [0] * count
     for label in labels:
         sizes[label] += 1
@@ -202,10 +202,10 @@ def cmd_components(args) -> int:
         "components": str(count),
         "component_sizes": _decimal(sizes),
         "nodes": str(len(keys)),
-        "arcs": str(len(arcs)),
+        "arcs": str(len(firsts)),
     }
     if args.export_skeleton:
-        sk = SkeletonGraph(_zero_cells(spec, keys), arcs)
+        sk = SkeletonGraph(_zero_cells(spec, keys), tuple(zip(firsts, seconds)))
         base = Path(args.export_skeleton)
         _write_text(base.with_suffix(".edgelist"), skeleton_edge_list_text(sk))
         _write_text(base.with_suffix(".nodes"), "\n".join(skeleton_node_lines(sk)) + "\n")
@@ -221,7 +221,7 @@ def cmd_plan(args) -> int:
     except ValueError as exc:
         raise UsageError(f"bad cell: {exc}") from None
     for name, cell in (("start", start), ("end", goal)):
-        if cell.dimension != 0 or not is_valid_cell(spec, cell):
+        if _zero_key(spec, cell) is None:
             raise UsageError(f"{name} cell is not a valid 0-cell of the complex")
     if args.mode == "constructive":
         result = plan(spec, start, goal)

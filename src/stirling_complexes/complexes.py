@@ -1,6 +1,7 @@
 """Cells of grouped Stirling complexes: validity, enumeration, f-vectors,
 and the 0- and 1-cells that make up the 1-skeleton, keyed as the planner
-keys a 0-cell: one vertex mask per color.
+keys a 0-cell: one vertex mask per color.  The key codec is one pair here:
+``_zero_key`` checks a 0-cell and encodes it, ``_zero_cells`` decodes keys.
 
 A complex is determined by a simple graph and a color vector (l_1, ..., l_r):
 color i owns l_i robots.  A cell assigns each color a set of vertices and
@@ -372,9 +373,9 @@ def _low_parts(g: SimpleGraph, size: int, cover: bool) -> list[tuple[int, int, t
     return out
 
 
-def _one_skeleton(spec: ComplexSpec) -> tuple[list[int], tuple[tuple[int, int], ...]]:
-    """The 0-cells' keys in canonical order, and one pair of 0-cell indices
-    per 1-cell, also in canonical order: the 1-skeleton.
+def _one_skeleton(spec: ComplexSpec) -> tuple[list[int], list[int], list[int]]:
+    """The 0-cells' keys in canonical order, and two lists that hold, in the
+    1-cells' canonical order, the indices of each one's two 0-cells.
 
     One walk over the parts with at most one edge (``_low_parts``) records
     each cell as a key, an int that holds color i's vertex mask
@@ -458,9 +459,30 @@ def _one_skeleton(spec: ComplexSpec) -> tuple[list[int], tuple[tuple[int, int], 
 
     walk(0, 0, 0, 0, 0)
     del walk  # a closure that calls itself is a cycle; free it now, not at a full collection
-    number = {key: i for i, key in enumerate(zero_keys)}
-    arcs = tuple(zip(map(number.__getitem__, first_ends), map(number.__getitem__, second_ends)))
-    return zero_keys, arcs
+    number = {key: i for i, key in enumerate(zero_keys)}.__getitem__
+    return zero_keys, list(map(number, first_ends)), list(map(number, second_ends))
+
+
+def _zero_key(spec: ComplexSpec, cell: Cell) -> int | None:
+    """The key of a 0-cell of the complex, the inverse of ``_zero_cells``, or
+    None for a cell that ``cell.dimension == 0 and is_valid_cell(spec, cell)``
+    rejects.  One pass checks each part's size, its vertices (a repeat leaves
+    fewer mask bits than elements), and coverage or, with it off, separation."""
+    n, sizes = spec.graph.n, spec.colors.sizes
+    if len(cell.parts) != len(sizes):
+        return None
+    key = union = 0
+    for shift, part, size in zip(range(0, n * len(sizes), n), cell.parts, sizes):
+        mask = 0
+        for v in part:
+            if not isinstance(v, int) or not 0 <= v < n:
+                return None
+            mask |= 1 << v
+        if len(part) != size or mask.bit_count() != size or not spec.require_cover and union & mask:
+            return None
+        union |= mask
+        key |= mask << shift
+    return None if spec.require_cover and union != (1 << n) - 1 else key
 
 
 def _zero_cells(spec: ComplexSpec, keys) -> tuple[Cell, ...]:

@@ -19,8 +19,9 @@ smallest breadth-first shortest paths, and the swap search returns the first
 shortest move sequence in expansion order.
 
 Inside the planner a 0-cell is one int key in the 1-skeleton's layout: color
-c's vertex mask in bits ``c*n`` to ``(c+1)*n``.  A move flips two of its bits,
-and a ``Cell`` is built only at the public boundary.  The two breadth-first
+c's vertex mask in bits ``c*n`` to ``(c+1)*n``.  A move flips two of its bits.
+Keys enter only through ``complexes._zero_key``, which checks the 0-cell, and
+a ``Cell`` is built only at the public boundary.  The two breadth-first
 searches, ``plan_bfs`` and the swap search, run ``graphs._first_shortest``
 on keys, keeping a parent key per key forward and a depth per key backward.
 A ``Move`` is built only for the moves on the returned path, read from the
@@ -35,6 +36,7 @@ from .complexes import (
     Cell,
     ComplexSpec,
     _zero_cells,
+    _zero_key,
     format_cell,
     is_nontrivial,
     is_valid_cell,
@@ -114,15 +116,13 @@ def _ensure(holds: bool, what: str) -> None:
         raise InternalPlanningError(f"internal: {what}")
 
 
-def _is_zero_cell(spec: ComplexSpec, cell: Cell) -> bool:
-    return cell.dimension == 0 and is_valid_cell(spec, cell)
-
-
-def _encode(n: int, cell: Cell) -> int:
-    """The key of a valid 0-cell (its parts hold distinct in-range vertices):
-    color c's vertex mask in bits ``c*n`` to ``(c+1)*n``, the layout that
-    ``complexes._one_skeleton`` keys cells by."""
-    return sum(1 << color * n + v for color, part in enumerate(cell.parts) for v in part)
+def _zero_key_of(spec: ComplexSpec, cell: Cell, name: str) -> int:
+    """The key of a 0-cell passed to a public function; a cell that is not a
+    0-cell of the complex raises ``PlanningError``, naming it as ``name``."""
+    key = _zero_key(spec, cell)
+    if key is None:
+        raise PlanningError(f"{name} is not a valid 0-cell of the complex")
+    return key
 
 
 def _decode(spec: ComplexSpec, key: int) -> Cell:
@@ -218,39 +218,17 @@ def _step(spec: ComplexSpec, key: int, move: Move) -> int | None:
     return key ^ ((1 << source) | (1 << target)) << shift
 
 
-def _move_state(spec: ComplexSpec, cell: Cell) -> int:
-    """The key of a cell passed to a public move function."""
-    if cell.dimension != 0:
-        raise ValueError("moves are defined on 0-cells")
-    n, r = spec.graph.n, spec.colors.r
-    if len(cell.parts) == r:
-        key = 0
-        for shift, part in zip(range(0, n * r, n), cell.parts):
-            mask = 0
-            for v in part:
-                if not 0 <= v < n:
-                    break
-                mask |= 1 << v
-            # Fewer bits than vertices: one was out of range or repeated.
-            if mask.bit_count() != len(part):
-                break
-            key |= mask << shift
-        else:
-            return key
-    raise ValueError(f"{format_cell(cell)} is not a 0-cell of this graph and color count")
-
-
 def is_valid_move(spec: ComplexSpec, cell: Cell, move: Move) -> bool:
     """Whether the slide is legal: the robot exists, the traversed 1-cell and
-    the target 0-cell are both valid cells of the complex.  A cell with an
-    edge slot, a vertex outside the graph, a repeated vertex in one part, or
-    the wrong number of parts raises ``ValueError``."""
-    return _step(spec, _move_state(spec, cell), move) is not None
+    the target 0-cell are both valid cells of the complex.  A cell that is not
+    a 0-cell of the complex raises ``PlanningError``, a ``ValueError``."""
+    return _step(spec, _zero_key_of(spec, cell, "cell"), move) is not None
 
 
 def apply_move(spec: ComplexSpec, cell: Cell, move: Move) -> Cell:
-    """The 0-cell after a legal move; raises ``InvalidMoveError`` otherwise."""
-    nxt = _step(spec, _move_state(spec, cell), move)
+    """The 0-cell after a legal move; an illegal move raises ``InvalidMoveError``,
+    and a cell that is not a 0-cell of the complex ``PlanningError``."""
+    nxt = _step(spec, _zero_key_of(spec, cell, "cell"), move)
     if nxt is None:
         raise InvalidMoveError(f"illegal move {move} in {format_cell(cell)}")
     return _decode(spec, nxt)
@@ -282,11 +260,11 @@ class _State:
 
     __slots__ = ("spec", "graph", "column", "key", "moves")
 
-    def __init__(self, spec: ComplexSpec, cell: Cell):
+    def __init__(self, spec: ComplexSpec, key: int):
         self.spec = spec
         self.graph = spec.graph
         self.column = _column(spec)
-        self.key = _encode(spec.graph.n, cell)
+        self.key = key
         self.moves: list[Move] = []
 
     def colors_at(self, v: int) -> set[int]:
@@ -537,11 +515,6 @@ def _realize_cycle(state: _State, cycle: list[tuple[int, int]]) -> None:
         cycle = [cycle[0]] + cycle[t - 1 :]
 
 
-def _require_zero_cell(spec: ComplexSpec, cell: Cell, name: str) -> None:
-    if not _is_zero_cell(spec, cell):
-        raise PlanningError(f"{name} is not a valid 0-cell of the complex")
-
-
 def _require_planner_hypotheses(spec: ComplexSpec) -> None:
     problems = []
     if not spec.require_cover:
@@ -582,8 +555,7 @@ def leapfrog(spec: ComplexSpec, cell: Cell, z: int, path, k: int) -> MovePlan:
     """
     if not spec.require_cover:
         raise PlanningError("leapfrog: relays are defined on covering complexes")
-    _require_zero_cell(spec, cell, "start")
-    state = _State(spec, cell)
+    state = _State(spec, _zero_key_of(spec, cell, "start"))
     path = tuple(path)
     _check_path(state, path, "leapfrog")
     if path[0] != z:
@@ -606,8 +578,7 @@ def swap_third(spec: ComplexSpec, cell: Cell, z: int, w: int, path, i: int, k: i
     on ``w`` along ``path``, which must carry no other k robots."""
     if not spec.require_cover:
         raise PlanningError("swap_third: exchanges are defined on covering complexes")
-    _require_zero_cell(spec, cell, "start")
-    state = _State(spec, cell)
+    state = _State(spec, _zero_key_of(spec, cell, "start"))
     path = tuple(path)
     _check_path(state, path, "swap_third")
     if len(path) < 2 or path[0] != z or path[-1] != w:
@@ -628,7 +599,7 @@ def swap_colors(spec: ComplexSpec, cell: Cell, x: int, y: int, i: int, j: int) -
     """Exchange the i robot on x with the j robot on y, leaving every other
     vertex's colors unchanged."""
     _require_planner_hypotheses(spec)
-    _require_zero_cell(spec, cell, "start")
+    key = _zero_key_of(spec, cell, "start")
     if x == y or i == j:
         raise PlanningError("swap_colors: needs distinct vertices and distinct colors")
     occ_x, occ_y = occupancy(cell, x), occupancy(cell, y)
@@ -636,7 +607,7 @@ def swap_colors(spec: ComplexSpec, cell: Cell, x: int, y: int, i: int, j: int) -
         raise PlanningError(
             "swap_colors: needs i on x but not y, and j on y but not x"
         )
-    state = _State(spec, cell)
+    state = _State(spec, key)
     _swap(state, x, y, i, j)
     return _finish(state, cell)
 
@@ -644,12 +615,11 @@ def swap_colors(spec: ComplexSpec, cell: Cell, x: int, y: int, i: int, j: int) -
 def same_type_plan(spec: ComplexSpec, cell: Cell, goal: Cell) -> MovePlan:
     """Connect two 0-cells with identical occupancy profiles."""
     _require_planner_hypotheses(spec)
-    _require_zero_cell(spec, cell, "start")
-    _require_zero_cell(spec, goal, "goal")
+    state = _State(spec, _zero_key_of(spec, cell, "start"))
+    target = _zero_key_of(spec, goal, "goal")
     if not same_type(cell, goal):
         raise PlanningError("same_type_plan: the cells have different occupancy profiles")
-    state = _State(spec, cell)
-    _realize_profile(state, _encode(spec.graph.n, goal))
+    _realize_profile(state, target)
     plan = _finish(state, cell)
     _ensure(plan.end == goal, "same_type_plan did not reach the goal")
     return plan
@@ -665,11 +635,9 @@ def plan(spec: ComplexSpec, start: Cell, goal: Cell) -> MovePlan:
     same-type gap that remains is closed by color swaps.
     """
     _require_planner_hypotheses(spec)
-    _require_zero_cell(spec, start, "start")
-    _require_zero_cell(spec, goal, "goal")
+    fwd = _State(spec, _zero_key_of(spec, start, "start"))
+    bwd = _State(spec, _zero_key_of(spec, goal, "goal"))
     g = spec.graph
-    fwd = _State(spec, start)
-    bwd = _State(spec, goal)
     while True:
         here = fwd.counts()
         diffs = [a - b for a, b in zip(here, bwd.counts())]
@@ -695,10 +663,10 @@ def plan_bfs(spec: ComplexSpec, start: Cell, goal: Cell) -> MovePlan | None:
     unreachable; works for any color count.  The plan is the forward
     breadth-first tree's path, the first shortest plan in expansion order
     (color, source vertex, target vertex), found by a bidirectional search."""
-    _require_zero_cell(spec, start, "start")
-    _require_zero_cell(spec, goal, "goal")
+    source = _zero_key_of(spec, start, "start")
+    target = _zero_key_of(spec, goal, "goal")
     n = spec.graph.n
-    keys = _first_shortest(_expander(spec), _encode(n, start), _encode(n, goal))
+    keys = _first_shortest(_expander(spec), source, target)
     if keys is None:
         return None
     moves = tuple(_move_between(n, before, after) for before, after in zip(keys, keys[1:]))
@@ -709,9 +677,9 @@ def verify_plan(plan: MovePlan) -> PlanVerification:
     """Replay a plan: the start must be a valid 0-cell, every move legal in
     sequence, and the final cell must equal the declared end (when present)."""
     spec = plan.spec
-    if not _is_zero_cell(spec, plan.start):
+    key = _zero_key(spec, plan.start)
+    if key is None:
         return PlanVerification(False, 0)
-    key = _encode(spec.graph.n, plan.start)
     for step, mv in enumerate(plan.moves, start=1):
         key = _step(spec, key, mv)
         if key is None:

@@ -59,13 +59,13 @@ def boundary_endpoints(spec: ComplexSpec, cell: Cell) -> tuple[Cell, Cell]:
     return pair[0], pair[1]
 
 
-def _keyed_skeleton(spec: ComplexSpec) -> tuple[list[int], tuple[tuple[int, int], ...]]:
-    """The 0-cells' keys and the arcs, as ``complexes._one_skeleton`` returns
-    them; an empty complex raises ``EmptyComplexError``."""
-    keys, arcs = _one_skeleton(spec)
+def _keyed_skeleton(spec: ComplexSpec) -> tuple[list[int], list[int], list[int]]:
+    """The 0-cells' keys and the arcs' two endpoint lists, as ``_one_skeleton``
+    returns them; an empty complex raises ``EmptyComplexError``."""
+    keys, firsts, seconds = _one_skeleton(spec)
     if not keys:
         raise EmptyComplexError("the complex has no cells")
-    return keys, arcs
+    return keys, firsts, seconds
 
 
 def build_one_skeleton(spec: ComplexSpec) -> SkeletonGraph:
@@ -76,8 +76,8 @@ def build_one_skeleton(spec: ComplexSpec) -> SkeletonGraph:
     joins the two 0-cells that replace its 1-cell's edge by one endpoint and
     by the other.
     """
-    keys, arcs = _keyed_skeleton(spec)
-    return SkeletonGraph(_zero_cells(spec, keys), arcs)
+    keys, firsts, seconds = _keyed_skeleton(spec)
+    return SkeletonGraph(_zero_cells(spec, keys), tuple(zip(firsts, seconds)))
 
 
 def _labels(node_count: int, arcs) -> tuple[int, tuple[int, ...]]:
@@ -113,8 +113,8 @@ def connected_components(spec: ComplexSpec) -> tuple[int, tuple[int, ...]]:
     """Connected components of the complex via its 1-skeleton: the count and
     one label per 0-cell in canonical order, found on the keys without
     building a ``Cell``."""
-    keys, arcs = _keyed_skeleton(spec)
-    return _labels(len(keys), arcs)
+    keys, firsts, seconds = _keyed_skeleton(spec)
+    return _labels(len(keys), zip(firsts, seconds))
 
 
 def euler_characteristic(fvec) -> int:

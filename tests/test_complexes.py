@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -31,7 +32,7 @@ from stirling_complexes import (
     uniform_cell_counts,
     valid_parts,
 )
-from stirling_complexes.complexes import _low_parts, element_key
+from stirling_complexes.complexes import _low_parts, _zero_cells, _zero_key, element_key
 
 # The benchmark's reference module counts cells by inclusion-exclusion and
 # imports nothing from the package; its workloads module names the complexes
@@ -437,6 +438,65 @@ class TestLowParts:
     @pytest.mark.parametrize("name", ["K7", "C10"])
     def test_larger_graphs(self, name):
         self.check(parse_graph_name(name))
+
+
+class TestZeroKey:
+    """``_zero_key``, the one check and encoder of a 0-cell, against the
+    reference: it returns None exactly when ``is_valid_cell`` or the
+    dimension rejects a cell, and otherwise a key that ``_zero_cells`` decodes
+    back to the cell.  The cells are seeded random 0-cells of the complex,
+    kept or broken one way (an edge slot, a vertex out of range or negative,
+    a repeat, a part of the wrong size, a missing part, a vertex moved, which
+    may leave one bare or shared), plus cells drawn with no regard to it."""
+
+    SIZES = [(1, 1), (2, 1), (2, 1, 1), (2, 2, 1), (3, 2), (1, 1, 1, 1)]
+
+    @staticmethod
+    def random_cell(rng, spec, zero_cells):
+        n, edges = spec.graph.n, spec.graph.edges
+        pool = list(range(-1, n + 1)) + list(edges)
+        if not zero_cells or rng.random() < 0.1:
+            return Cell.make(
+                [rng.choice(pool) for _ in range(size + rng.choice((-1, 0, 0, 1)))]
+                for size in spec.colors.sizes
+            )
+        parts = [list(part) for part in rng.choice(zero_cells).parts]
+        c = rng.randrange(len(parts))
+        part, i = parts[c], rng.randrange(len(parts[c]))
+        kind = rng.randrange(8)
+        if kind == 1 and edges:
+            part[i] = rng.choice(edges)
+        elif kind == 2:
+            part[i] = rng.choice((-1, n, n + 1))
+        elif kind == 3:
+            part[i] = rng.choice(part)
+        elif kind == 4 and rng.random() < 0.5:
+            part.pop()
+        elif kind == 4:
+            part.append(rng.randrange(n))
+        elif kind == 5:
+            parts.pop(c)
+        elif kind >= 6:
+            part[i] = rng.randrange(n)
+        return Cell.make(parts)
+
+    @pytest.mark.parametrize("cover", [True, False])
+    def test_matches_the_reference(self, p3, t4, c4, k4, cover):
+        rng = random.Random(19)
+        outcomes = Counter()
+        for g, sizes in itertools.product((p3, t4, c4, k4), self.SIZES):
+            spec = ComplexSpec(g, ColorVector(sizes), require_cover=cover)
+            zero_cells = list(enumerate_cells(spec, dim=0))
+            for _ in range(250):
+                cell = self.random_cell(rng, spec, zero_cells)
+                key = _zero_key(spec, cell)
+                valid = cell.dimension == 0 and is_valid_cell(spec, cell)
+                assert (key is not None) == valid, (g.edges, sizes, cover, cell)
+                if valid:
+                    assert _zero_cells(spec, (key,)) == (cell,), (g.edges, sizes, cover, cell)
+                outcomes[valid] += 1
+        # both answers are common, so neither side of the check is vacuous
+        assert min(outcomes.values()) > 1000, outcomes
 
 
 class TestColorOrder:

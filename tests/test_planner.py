@@ -40,6 +40,7 @@ from stirling_complexes import (
     swap_third,
     verify_plan,
 )
+from stirling_complexes.complexes import _zero_key
 from stirling_complexes.planner import InvalidMoveError, PlanFormatError
 
 
@@ -195,16 +196,21 @@ class TestMoves:
 
     def test_cell_outside_the_complex_is_rejected(self, p3):
         spec = ComplexSpec(p3, ColorVector((2, 2, 1)))
-        for bad in (
-            Cell.make([(0, 3), (0, 2), (0,)]),
-            Cell.make([(-1, 1), (0, 2), (0,)]),
-            Cell.make([(0, 0), (0, 2), (0,)]),
-            Cell.make([(0, 1), (0, 2)]),
+        off = ComplexSpec(p3, ColorVector((1, 1)), require_cover=False)
+        for spec, bad, mv in (
+            (spec, Cell.make([(0, 3), (0, 2), (0,)]), Move(0, 0, 1)),
+            (spec, Cell.make([(-1, 1), (0, 2), (0,)]), Move(0, 0, 1)),
+            (spec, Cell.make([(0, 0), (0, 2), (0,)]), Move(0, 0, 1)),
+            (spec, Cell.make([(0, 1), (0, 2)]), Move(0, 0, 1)),
+            # vertex 2 bare, a part of the wrong size, a vertex shared with coverage off
+            (spec, Cell.make([(0, 1), (0, 1), (0,)]), Move(0, 1, 2)),
+            (spec, Cell.make([(0,), (0, 1, 2), (0,)]), Move(0, 0, 1)),
+            (off, Cell.make([(0,), (0,)]), Move(0, 0, 1)),
         ):
             with pytest.raises(ValueError):
-                is_valid_move(spec, bad, Move(0, 0, 1))
+                is_valid_move(spec, bad, mv)
             with pytest.raises(ValueError):
-                apply_move(spec, bad, Move(0, 0, 1))
+                apply_move(spec, bad, mv)
 
     def test_color_out_of_range_is_illegal(self, p3):
         spec = ComplexSpec(p3, ColorVector((2, 2, 1)))
@@ -635,10 +641,18 @@ class TestPlan:
     def test_user_errors_are_not_internal(self, p3):
         spec = ComplexSpec(p3, ColorVector((2, 2, 1)))
         cell = next(enumerate_cells(spec, dim=0))
-        bad = Cell.make([(0, 1), (0, 1), (0,)])
-        with pytest.raises(PlanningError, match="start") as exc:
-            plan(spec, bad, cell)
-        assert not isinstance(exc.value, InternalPlanningError)
+        bad = Cell.make([(0, 1), (0, 1), (0,)])  # vertex 2 is bare
+        for call, name in (
+            (lambda: plan(spec, bad, cell), "start"),
+            (lambda: plan(spec, cell, bad), "goal"),
+            (lambda: same_type_plan(spec, bad, cell), "start"),
+            (lambda: swap_colors(spec, bad, 0, 1, 0, 1), "start"),
+            (lambda: leapfrog(spec, bad, 0, (0, 1), 2), "start"),
+            (lambda: swap_third(spec, bad, 0, 2, (0, 1, 2), 0, 2), "start"),
+        ):
+            with pytest.raises(PlanningError, match=f"{name} is not a valid 0-cell") as exc:
+                call()
+            assert not isinstance(exc.value, InternalPlanningError)
 
 
 class TestPlanningDifferential:
@@ -774,7 +788,7 @@ class TestExpander:
         import stirling_complexes.planner as planner
 
         n = spec.graph.n
-        key = planner._encode(n, cell)
+        key = _zero_key(spec, cell)
         return [(planner._move_between(n, key, nxt), planner._decode(spec, nxt)) for nxt in expand(key)]
 
     @staticmethod
@@ -802,8 +816,9 @@ class TestExpander:
                     assert self.expanded(spec, expand, cell) == self.accepted(spec, cell), (
                         g.edges, sizes, cover, cell
                     )
-                    assert planner._decode(spec, planner._encode(n, cell)) == cell
-                    state = planner._State(spec, cell)
+                    key = _zero_key(spec, cell)
+                    assert planner._decode(spec, key) == cell
+                    state = planner._State(spec, key)
                     occupied = [set(occupancy(cell, v)) for v in range(n)]
                     assert state.counts() == [len(colors) for colors in occupied], cell
                     for v, colors in enumerate(occupied):
