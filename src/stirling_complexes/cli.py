@@ -18,6 +18,7 @@ from .complexes import (
     ColorVector,
     ComplexSpec,
     EmptyComplexError,
+    _one_skeleton,
     _zero_cells,
     _zero_key,
     enumerate_cells,
@@ -26,7 +27,7 @@ from .complexes import (
     parse_cell,
 )
 from .counting import two_one_cell_counts, uniform_cell_counts, wedge_count
-from .graphs import EdgeListError, SimpleGraph, is_connected, parse_edge_list, parse_graph_name
+from .graphs import EdgeListError, SimpleGraph, _labels, is_connected, parse_edge_list, parse_graph_name
 from .planner import (
     HypothesisNotMetError,
     InternalPlanningError,
@@ -40,8 +41,6 @@ from .planner import (
 )
 from .skeleton import (
     SkeletonGraph,
-    _keyed_skeleton,
-    _labels,
     euler_characteristic,
     skeleton_edge_list_text,
     skeleton_node_lines,
@@ -190,7 +189,7 @@ def cmd_enumerate(args) -> int:
 def cmd_components(args) -> int:
     spec = _load_spec(args)
     try:
-        keys, firsts, seconds = _keyed_skeleton(spec)
+        keys, firsts, seconds = _one_skeleton(spec)
     except EmptyComplexError:
         print("the complex is empty", file=sys.stderr)
         return EXIT_EMPTY_OR_UNREACHABLE

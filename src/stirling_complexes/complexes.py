@@ -384,7 +384,8 @@ def _one_skeleton(spec: ComplexSpec) -> tuple[list[int], list[int], list[int]]:
     thousands of keys per complex cost it nothing.  A 1-cell has one one-edge
     part, and its two endpoints are its key with one or the other end of that
     edge added to the part's mask, so the walk carries those two bits.  No
-    ``Cell`` is built; ``_zero_cells`` decodes the keys.
+    ``Cell`` is built; ``_zero_cells`` decodes the keys.  An empty complex
+    raises ``EmptyComplexError``.
     """
     g = spec.graph
     n = g.n
@@ -459,6 +460,8 @@ def _one_skeleton(spec: ComplexSpec) -> tuple[list[int], list[int], list[int]]:
 
     walk(0, 0, 0, 0, 0)
     del walk  # a closure that calls itself is a cycle; free it now, not at a full collection
+    if not zero_keys:
+        raise EmptyComplexError("the complex has no cells")
     number = {key: i for i, key in enumerate(zero_keys)}.__getitem__
     return zero_keys, list(map(number, first_ends)), list(map(number, second_ends))
 

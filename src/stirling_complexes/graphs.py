@@ -1,16 +1,16 @@
-"""Simple undirected graphs: parsing, generators, and breadth-first search.
+"""Simple undirected graphs: parsing, generators, search and connectivity.
 
 ``_first_shortest`` is the package's one shortest-path search: a
 bidirectional breadth-first search over any reversible successor function,
 which returns the first shortest path in expansion order.  ``shortest_path``
 runs it on the sorted adjacency lists of a graph, and the planner runs it on
 the move graph of 0-cells, for ``plan_bfs`` and for the swap search.
+``_labels`` is its one union-find, behind ``is_connected`` and the 1-skeleton.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -242,16 +242,30 @@ def shortest_path(g: SimpleGraph, u: int, v: int, forbidden=()) -> tuple[int, ..
     return tuple(path)
 
 
+def _labels(node_count: int, arcs) -> tuple[int, tuple[int, ...]]:
+    """Union-find over node indices: the component count plus a dense label
+    per node, assigned in node order."""
+    parent = list(range(node_count))
+    # find() is inlined, with path halving: a call per lookup costs more than
+    # the lookup itself
+    for a, b in arcs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[b] = a
+    labels = []
+    dense: dict[int, int] = {}
+    for i in range(node_count):
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        parent[i] = root
+        labels.append(dense.setdefault(root, len(dense)))
+    return len(dense), tuple(labels)
+
+
 def is_connected(g: SimpleGraph) -> bool:
     """True iff the graph has at most one connected component."""
-    if g.n <= 1:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        w = queue.popleft()
-        for x in g.adjacency[w]:
-            if x not in seen:
-                seen.add(x)
-                queue.append(x)
-    return len(seen) == g.n
+    return _labels(g.n, g.edges)[0] <= 1

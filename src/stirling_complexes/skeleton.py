@@ -2,9 +2,11 @@
 
 Connectivity of the whole complex is decided here: higher cells never join
 components that their own 0-dimensional corners do not already join.  The
-0-cells' keys and the arcs come from ``complexes``, the one module that knows
-how cells are keyed.  Components are labelled on the keys, with no ``Cell``
-built; only ``build_one_skeleton`` and the exports decode the 0-cells.
+0-cells' keys and the arcs come from ``complexes._one_skeleton``, which keys a
+0-cell as the planner does: one vertex mask per color.  Components are
+labelled on the keys by ``graphs._labels``, the package's one union-find, with
+no ``Cell`` built; only ``build_one_skeleton`` and the exports decode the
+0-cells.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ from dataclasses import dataclass
 from .complexes import (
     Cell,
     ComplexSpec,
-    EmptyComplexError,
     _one_skeleton,
     _zero_cells,
     cell_sort_key,
     format_cell,
     is_edge_element,
 )
+from .graphs import _labels
 
 
 @dataclass(frozen=True)
@@ -59,15 +61,6 @@ def boundary_endpoints(spec: ComplexSpec, cell: Cell) -> tuple[Cell, Cell]:
     return pair[0], pair[1]
 
 
-def _keyed_skeleton(spec: ComplexSpec) -> tuple[list[int], list[int], list[int]]:
-    """The 0-cells' keys and the arcs' two endpoint lists, as ``_one_skeleton``
-    returns them; an empty complex raises ``EmptyComplexError``."""
-    keys, firsts, seconds = _one_skeleton(spec)
-    if not keys:
-        raise EmptyComplexError("the complex has no cells")
-    return keys, firsts, seconds
-
-
 def build_one_skeleton(spec: ComplexSpec) -> SkeletonGraph:
     """Nodes from the 0-cells and one arc per 1-cell, both in canonical order.
 
@@ -76,32 +69,8 @@ def build_one_skeleton(spec: ComplexSpec) -> SkeletonGraph:
     joins the two 0-cells that replace its 1-cell's edge by one endpoint and
     by the other.
     """
-    keys, firsts, seconds = _keyed_skeleton(spec)
+    keys, firsts, seconds = _one_skeleton(spec)
     return SkeletonGraph(_zero_cells(spec, keys), tuple(zip(firsts, seconds)))
-
-
-def _labels(node_count: int, arcs) -> tuple[int, tuple[int, ...]]:
-    """Union-find over node indices: the component count plus a dense label
-    per node, assigned in node order."""
-    parent = list(range(node_count))
-    # find() is inlined, with path halving: a call per lookup costs more than
-    # the lookup itself
-    for a, b in arcs:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[b] = a
-    labels = []
-    dense: dict[int, int] = {}
-    for i in range(node_count):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        parent[i] = root
-        labels.append(dense.setdefault(root, len(dense)))
-    return len(dense), tuple(labels)
 
 
 def component_labels(sk: SkeletonGraph) -> tuple[int, tuple[int, ...]]:
@@ -113,7 +82,7 @@ def connected_components(spec: ComplexSpec) -> tuple[int, tuple[int, ...]]:
     """Connected components of the complex via its 1-skeleton: the count and
     one label per 0-cell in canonical order, found on the keys without
     building a ``Cell``."""
-    keys, firsts, seconds = _keyed_skeleton(spec)
+    keys, firsts, seconds = _one_skeleton(spec)
     return _labels(len(keys), zip(firsts, seconds))
 
 

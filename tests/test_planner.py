@@ -13,6 +13,7 @@ from stirling_complexes import (
     HypothesisNotMetError,
     InternalPlanningError,
     Move,
+    MovePlan,
     PlanningError,
     PlanVerification,
     SimpleGraph,
@@ -637,6 +638,20 @@ class TestPlan:
         monkeypatch.setattr(planner, "_step", lambda *args: None if next(calls) == 3 else step(*args))
         with pytest.raises(InternalPlanningError, match=r"^internal: illegal move \(0, 2 -> 3\)"):
             plan(spec, start, goal)
+
+    def test_goal_listed_out_of_order(self, p3):
+        """A valid 0-cell whose part is not sorted is the same 0-cell as its
+        sorted form: every planner reaches it, and a plan that declares it as
+        its end replays."""
+        spec = ComplexSpec(p3, ColorVector((2, 2, 1)))
+        start, goal = Cell.make([(0, 1), (1, 2), (2,)]), Cell(((2, 1), (0, 1), (2,)))
+        key = _zero_key(spec, goal)
+        assert key is not None and is_valid_cell(spec, goal)
+        for planner in (plan, plan_bfs, same_type_plan):
+            result = planner(spec, start, goal)
+            assert verify_plan(result), planner.__name__
+            assert _zero_key(spec, result.end) == key, planner.__name__
+            assert verify_plan(MovePlan(spec, start, result.moves, goal)), planner.__name__
 
     def test_user_errors_are_not_internal(self, p3):
         spec = ComplexSpec(p3, ColorVector((2, 2, 1)))
