@@ -242,8 +242,8 @@ def is_valid_cell(spec: ComplexSpec, cell: Cell) -> bool:
 
 @dataclass(frozen=True)
 class _Part:
-    """A candidate part: elements plus precomputed masks for the walks and the
-    f-vector DP."""
+    """A candidate part: elements plus precomputed masks for the walks, and
+    the closure that ``f_vector`` groups parts by with coverage off."""
 
     elements: tuple
     closure: int
@@ -295,6 +295,57 @@ def _parts_by_color(spec: ComplexSpec) -> list[tuple[_Part, ...]]:
         if size not in cache:
             cache[size] = valid_parts(spec.graph, size)
         out.append(cache[size])
+    return out
+
+
+def _matching_table(g: SimpleGraph) -> list[int]:
+    """For every vertex mask S, the matching numbers of the induced subgraph
+    G[S] packed into one int: the number of its e-edge matchings in bits
+    ``e*W`` to ``(e+1)*W``, where ``W = m + 1`` holds any count of edge sets.
+
+    With v the lowest vertex of S, a matching of G[S] leaves v bare or pairs
+    it with a neighbour u in S, so ``table[S] = table[S - v] + sum(table[S -
+    v - u] for u in N(v) & S) << W`` (the subset recursion of Bjorklund,
+    Husfeldt and Koivisto, "Set partitioning via inclusion-exclusion", 2009).
+    Both masks are smaller than S, so one pass in mask order fills the table.
+    """
+    w = g.m + 1
+    nbrs = [0] * g.n
+    for u, v in g.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    table = [1]
+    for s in range(1, 1 << g.n):
+        low = s & -s
+        rest = s ^ low
+        paired = 0
+        nb = nbrs[low.bit_length() - 1] & rest
+        while nb:
+            bit = nb & -nb
+            paired += table[rest ^ bit]
+            nb ^= bit
+        table.append(table[rest] + (paired << w))
+    return table
+
+
+def _covering_parts(g: SimpleGraph, size: int, table: list[int]) -> dict[int, tuple[int, int]]:
+    """The size-parts that ``valid_parts`` lists, grouped by cover mask as
+    ``{cover: (number of parts, edge count)}``.
+
+    A part with cover C holds C's vertices and ``size - |C|`` edges, which
+    form a matching of the graph less C, so ``_matching_table`` of the
+    complement of C counts them.
+    """
+    full = (1 << g.n) - 1
+    w = g.m + 1
+    field = (1 << w) - 1
+    out = {}
+    for c in range(1 << g.n):
+        e = size - c.bit_count()
+        if e >= 0:
+            k = table[full ^ c] >> e * w & field
+            if k:
+                out[c] = (k, e)
     return out
 
 
@@ -524,6 +575,11 @@ def f_vector(spec: ComplexSpec):
     parts with one mask have one edge count e, so a color's k parts with mask
     m enter as the one weight ``k << e*B``, and a step multiplies by it.
 
+    The covering complex takes each color's counts per cover mask from one
+    table of the matching numbers of every induced subgraph
+    (``_covering_parts``), so no part is built; with coverage off the parts
+    of ``valid_parts`` are counted per closure.
+
     With coverage on, a union that leaves more vertices uncovered than the
     later colors have robots is dropped (the cover bound), and the last color
     is joined into the full mask only: each state takes the summed weights
@@ -533,19 +589,30 @@ def f_vector(spec: ComplexSpec):
     free than the later colors have robots is dropped (free-vertex bound).
     """
     cover = spec.require_cover
-    per_color = _parts_by_color(spec)
-    width = prod(map(len, per_color)).bit_length() + 1
-    n = spec.graph.n
+    g = spec.graph
+    sizes = spec.colors.sizes
+    # per color: {cover or closure mask: (number of parts, edge count)}
+    if cover:
+        table = _matching_table(g)
+        by_size = {size: _covering_parts(g, size, table) for size in set(sizes)}
+        per_color = [by_size[size] for size in sizes]
+    else:
+        per_color = []
+        for parts in _parts_by_color(spec):
+            groups: dict[int, tuple[int, int]] = {}
+            for p in parts:
+                k, _ = groups.get(p.closure, (0, 0))
+                groups[p.closure] = (k + 1, p.edge_count)
+            per_color.append(groups)
+    width = prod(sum(k for k, _ in groups.values()) for groups in per_color).bit_length() + 1
+    n = g.n
     full = (1 << n) - 1
     # cap[idx]: the robots of colors idx.., the most vertices they can cover
-    cap = _suffix_sums(spec.colors.sizes)
+    cap = _suffix_sums(sizes)
     last = len(per_color) - 1
     state = {0: 1}
-    for idx, parts in enumerate(per_color):
-        weights: dict[int, int] = {}
-        for p in parts:
-            m = p.cover if cover else p.closure
-            weights[m] = weights.get(m, 0) + (1 << p.edge_count * width)
+    for idx, groups in enumerate(per_color):
+        weights = {m: k << e * width for m, (k, e) in groups.items()}
         if cover and idx == last:
             # fits[need]: the summed weights of the masks that hold need
             fits: dict[int, int] = {}
@@ -591,7 +658,9 @@ def format_element(el) -> str:
 
 
 def format_cell(cell: Cell) -> str:
-    """Canonical text form: parts joined by ``|``, e.g. ``{0,1}|{0,2}|{(0,1)}``."""
+    """Text form: parts joined by ``|``, e.g. ``{0,1}|{0,2}|{(0,1)}``, each
+    written in the order given, which is canonical for any ``Cell.make`` or
+    ``parse_cell`` result."""
     return "|".join("{" + ",".join(format_element(el) for el in part) + "}" for part in cell.parts)
 
 

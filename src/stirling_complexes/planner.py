@@ -691,7 +691,7 @@ def verify_plan(plan: MovePlan) -> PlanVerification:
 def format_plan(plan: MovePlan) -> str:
     """Serialize: the start cell in canonical text form, then one move per
     line as ``color source target``."""
-    lines = [format_cell(plan.start)]
+    lines = [format_cell(Cell.make(plan.start.parts))]
     lines += [f"{mv.color} {mv.source} {mv.target}" for mv in plan.moves]
     return "\n".join(lines) + "\n"
 

@@ -84,6 +84,14 @@ def all_simple_paths(g: SimpleGraph, u: int, v: int):
     return out
 
 
+def labelled_graphs(n):
+    """Every simple graph on the vertices 0..n-1, disconnected ones included:
+    one per subset of the n(n-1)/2 possible edges."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        yield SimpleGraph(n, tuple(e for k, e in enumerate(pairs) if bits >> k & 1))
+
+
 def connected_graphs(n):
     """Every connected simple graph on n vertices, one per isomorphism class:
     brute force over edge subsets, deduplicated by the least relabelling."""

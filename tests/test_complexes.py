@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import brute_force_cells, color_vectors, connected_graphs
+from conftest import brute_force_cells, color_vectors, connected_graphs, labelled_graphs
 from stirling_complexes import (
     Cell,
     ColorVector,
@@ -32,7 +32,7 @@ from stirling_complexes import (
     uniform_cell_counts,
     valid_parts,
 )
-from stirling_complexes.complexes import _low_parts, _zero_cells, _zero_key, element_key
+from stirling_complexes.complexes import _covering_parts, _low_parts, _matching_table, _zero_cells, _zero_key, element_key
 
 # The benchmark's reference module counts cells by inclusion-exclusion and
 # imports nothing from the package; its workloads module names the complexes
@@ -329,6 +329,30 @@ class TestCountingDifferential:
         assert self.check_all(5) == 21 * 56 * 2
 
 
+class TestCountingEveryLabelledGraph:
+    """f_vector against the enumerate_cells walk, counted per dimension as in
+    TestCountingDifferential, on every labelled graph with at most four
+    vertices: disconnected graphs, isolated vertices and the empty graph,
+    whose neighbour masks the matching table reads."""
+
+    def test_every_labelled_graph_up_to_four_vertices(self):
+        cases = 0
+        for n in range(5):
+            for g in labelled_graphs(n):
+                for sizes in color_vectors(n):
+                    for cover in (True, False):
+                        spec = ComplexSpec(g, ColorVector(sizes), require_cover=cover)
+                        dims = Counter(cell.dimension for cell in enumerate_cells(spec))
+                        if dims:
+                            length = (max_dimension(spec) if cover else max(dims)) + 1
+                            walked = tuple(dims[d] for d in range(length))
+                        else:
+                            walked = (0,)
+                        assert f_vector(spec) == walked, (g.n, g.edges, sizes, cover)
+                        cases += 1
+        assert cases == 4850
+
+
 class TestReferenceOracle:
     """f_vector against the benchmark's inclusion-exclusion count on six or
     more vertices, where the exhaustive differential does not reach."""
@@ -408,6 +432,24 @@ class TestValidParts:
         assert [p.elements for p in parts] == expected
         assert len(parts) == 12 + 66
         assert [p.edge_count for p in parts] == [int(isinstance(els[-1], tuple)) for els in expected]
+
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_matching_table_counts_the_covering_parts(self, n):
+        """The covering weights f_vector takes from the matching table are
+        valid_parts counted by cover mask and edge count, on every labelled
+        graph with at most five vertices and every size up to n + 1."""
+        graphs = 0
+        for g in labelled_graphs(n):
+            table = _matching_table(g)
+            for size in range(1, n + 2):
+                parts = valid_parts(g, size)
+                counts = _covering_parts(g, size, table)
+                expected = Counter((p.cover, p.edge_count) for p in parts)
+                assert Counter({(c, e): k for c, (k, e) in counts.items()}) == expected, (g.edges, size)
+                assert sum(k for k, _ in counts.values()) == len(parts), (g.edges, size)
+            graphs += 1
+        assert graphs == (1, 1, 2, 8, 64, 1024)[n]
 
 
 class TestLowParts:

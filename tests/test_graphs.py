@@ -5,7 +5,7 @@ from collections import deque
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import all_simple_paths
+from conftest import all_simple_paths, labelled_graphs
 from stirling_complexes import (
     EdgeListError,
     NoPathError,
@@ -276,9 +276,7 @@ class TestConnectivity:
 
         graphs = connected = 0
         for n in range(6):
-            pairs = list(itertools.combinations(range(n), 2))
-            for bits in range(1 << len(pairs)):
-                g = SimpleGraph(n, tuple(e for k, e in enumerate(pairs) if bits >> k & 1))
+            for g in labelled_graphs(n):
                 assert is_connected(g) == reaches_all(g), g.edges
                 graphs += 1
                 connected += is_connected(g)

@@ -41,7 +41,7 @@ from stirling_complexes import (
     swap_third,
     verify_plan,
 )
-from stirling_complexes.complexes import _zero_key
+from stirling_complexes.complexes import EmptyComplexError, _one_skeleton, _zero_key
 from stirling_complexes.planner import InvalidMoveError, PlanFormatError
 
 
@@ -653,6 +653,17 @@ class TestPlan:
             assert _zero_key(spec, result.end) == key, planner.__name__
             assert verify_plan(MovePlan(spec, start, result.moves, goal)), planner.__name__
 
+    def test_plan_text_starts_canonical(self, p3):
+        """A start listed out of order is written in canonical form, so two
+        plans from one 0-cell have one text, and it parses to that form."""
+        spec = ComplexSpec(p3, ColorVector((2, 2, 1)))
+        goal = Cell.make([(0, 1), (1, 2), (2,)])
+        canonical = Cell.make([(1, 2), (0, 1), (2,)])
+        text = format_plan(plan(spec, Cell(((2, 1), (0, 1), (2,))), goal))
+        assert text == format_plan(plan(spec, canonical, goal))
+        assert text.startswith("{1,2}|{0,1}|{2}\n")
+        assert parse_plan(spec, text).start == canonical
+
     def test_user_errors_are_not_internal(self, p3):
         spec = ComplexSpec(p3, ColorVector((2, 2, 1)))
         cell = next(enumerate_cells(spec, dim=0))
@@ -849,6 +860,33 @@ class TestExpander:
     @pytest.mark.slow
     def test_every_zero_cell_on_five_vertices(self):
         assert self.check_all((5,)) == 94080
+
+
+class TestMoveGraphIsTheSkeleton:
+    """The planner's move graph is the 1-skeleton: over every 0-cell key, the
+    pairs {key, successor} that planner._expander lists are exactly the arcs
+    of complexes._one_skeleton, taken as unordered key pairs, and no two arcs
+    join the same pair."""
+
+    def test_every_connected_graph_up_to_five_vertices(self):
+        import stirling_complexes.planner as planner
+
+        checked = 0
+        for n in range(1, 6):
+            for g, sizes, cover in itertools.product(
+                connected_graphs(n), color_vectors(n), (True, False)
+            ):
+                spec = ComplexSpec(g, ColorVector(sizes), require_cover=cover)
+                try:
+                    keys, firsts, seconds = _one_skeleton(spec)
+                except EmptyComplexError:
+                    continue
+                arcs = {frozenset((keys[a], keys[b])) for a, b in zip(firsts, seconds)}
+                assert len(arcs) == len(firsts), (g.edges, sizes, cover)
+                expand = planner._expander(spec)
+                assert {frozenset((k, s)) for k in keys for s in expand(k)} == arcs, (g.edges, sizes, cover)
+                checked += 1
+        assert checked == 1631
 
 
 class TestBfsDifferential:

@@ -1,4 +1,5 @@
 import gc
+import itertools
 from collections import Counter
 
 import pytest
@@ -16,6 +17,7 @@ from stirling_complexes import (
     enumerate_cells,
     euler_characteristic,
     f_vector,
+    is_nontrivial,
     is_valid_cell,
     parse_edge_list,
     parse_graph_name,
@@ -226,6 +228,36 @@ class TestComponents:
         a, _ = connected_components(ComplexSpec(t4, ColorVector((3, 2))))
         b, _ = connected_components(ComplexSpec(t4, ColorVector((2, 3))))
         assert a == b
+
+
+class TestConnectivityTheorem:
+    """The paper's theorem: a non-trivial covering complex with at least three
+    colors is connected.  Checked on every connected graph with at most five
+    vertices and every vector of three or four sizes with total at most
+    n + 3; with two colors some of these complexes split."""
+
+    @staticmethod
+    def connected_tally(ns, r):
+        tally = Counter()
+        for n in ns:
+            for g in connected_graphs(n):
+                for sizes in itertools.product(range(1, n), repeat=r):
+                    spec = ComplexSpec(g, ColorVector(sizes))
+                    if sum(sizes) <= n + 3 and is_nontrivial(spec):
+                        tally[connected_components(spec)[0] == 1] += 1
+        return tally
+
+    @pytest.mark.parametrize("r, complexes", [(3, 129), (4, 203)])
+    def test_up_to_four_vertices(self, r, complexes):
+        assert self.connected_tally(range(1, 5), r) == Counter({True: complexes})
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("r, complexes", [(3, 714), (4, 1281)])
+    def test_five_vertices(self, r, complexes):
+        assert self.connected_tally((5,), r) == Counter({True: complexes})
+
+    def test_two_colors_can_split(self):
+        assert self.connected_tally(range(1, 6), 2) == Counter({True: 97, False: 49})
 
 
 class TestEuler:
