@@ -593,6 +593,8 @@ def f_vector(spec: ComplexSpec):
     sizes = spec.colors.sizes
     # per color: {cover or closure mask: (number of parts, edge count)}
     if cover:
+        if not is_nonempty(spec):
+            return (0,)  # known without the table, which has 2^n entries
         table = _matching_table(g)
         by_size = {size: _covering_parts(g, size, table) for size in set(sizes)}
         per_color = [by_size[size] for size in sizes]

@@ -353,6 +353,19 @@ class TestCountingEveryLabelledGraph:
         assert cases == 4850
 
 
+class TestEmptyCoveringComplex:
+    def test_builds_no_matching_table(self, monkeypatch):
+        """An empty covering complex is (0,) at once: its matching table, of
+        2^40 entries on P40, is never built."""
+        import stirling_complexes.complexes as complexes
+
+        monkeypatch.setattr(complexes, "_matching_table", lambda g: pytest.fail("table built"))
+        for sizes in ((1, 1), (41, 1), (20, 19)):
+            spec = ComplexSpec(parse_graph_name("P40"), ColorVector(sizes))
+            assert not is_nonempty(spec)
+            assert f_vector(spec) == (0,)
+
+
 class TestReferenceOracle:
     """f_vector against the benchmark's inclusion-exclusion count on six or
     more vertices, where the exhaustive differential does not reach."""
