@@ -446,7 +446,6 @@ class TestValidParts:
         assert len(parts) == 12 + 66
         assert [p.edge_count for p in parts] == [int(isinstance(els[-1], tuple)) for els in expected]
 
-
     @pytest.mark.parametrize("n", range(6))
     def test_matching_table_counts_the_covering_parts(self, n):
         """The covering weights f_vector takes from the matching table are
