@@ -20,7 +20,6 @@ from .complexes import (
     EmptyComplexError,
     _one_skeleton,
     _zero_cells,
-    _zero_key,
     enumerate_cells,
     f_vector,
     format_cell,
@@ -219,9 +218,6 @@ def cmd_plan(args) -> int:
         goal = parse_cell(args.end)
     except ValueError as exc:
         raise UsageError(f"bad cell: {exc}") from None
-    for name, cell in (("start", start), ("end", goal)):
-        if _zero_key(spec, cell) is None:
-            raise UsageError(f"{name} cell is not a valid 0-cell of the complex")
     if args.mode == "constructive":
         result = plan(spec, start, goal)
     else:

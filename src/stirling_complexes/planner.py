@@ -6,7 +6,9 @@ path-connectivity: it first balances the two occupancy profiles by relaying
 surplus robots between vertices, then realizes the remaining color permutation
 through pairwise swaps.  It requires a connected graph and a non-trivial color
 vector with at least three colors; outside those hypotheses only the
-breadth-first planner applies.
+breadth-first planner applies.  ``plan`` checks its two 0-cells before these
+hypotheses, so a cell outside the complex raises a plain ``PlanningError``,
+never ``HypothesisNotMetError``, whatever the complex.
 
 Each swap across an edge takes the first of three tiers that applies: two
 direct moves when either end has a spare robot, a borrowed third-colored
@@ -510,8 +512,6 @@ def _realize_cycle(state: _State, cycle: list[tuple[int, int]]) -> None:
         if t == p + 1:
             return
         t = t if cols[t - 1] != i1 else t + 1
-        if t == p + 1:
-            return
         cycle = [cycle[0]] + cycle[t - 1 :]
 
 
@@ -633,9 +633,9 @@ def plan(spec: ComplexSpec, start: Cell, goal: Cell) -> MovePlan:
     stack; goal-side work is recorded and replayed backwards at the end.  The
     same-type gap that remains is closed by color swaps.
     """
-    _require_planner_hypotheses(spec)
     fwd = _State(spec, _zero_key_of(spec, start, "start"))
     bwd = _State(spec, _zero_key_of(spec, goal, "goal"))
+    _require_planner_hypotheses(spec)
     g = spec.graph
     while True:
         here = fwd.counts()

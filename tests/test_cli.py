@@ -284,6 +284,16 @@ class TestPlanAndVerify:
         report = json.loads(out)
         assert code == 1 and report["failed_at"] == "0"
 
+    def test_negative_start_vertex_fails_at_zero(self, capsys, tmp_path):
+        """The cell grammar takes a negative vertex; the replay rejects it."""
+        plan_file = tmp_path / "plan.txt"
+        plan_file.write_text("{-1,1}|{0,2}|{0}\n")
+        code, out, _ = run(
+            capsys, "verify", "--graph", "P3", "--colors", "2,2,1", "--plan-file", str(plan_file)
+        )
+        report = json.loads(out)
+        assert code == 1 and report["failed_at"] == "0"
+
     @pytest.mark.parametrize("line", ["2 1 -1", "2 1 3", "3 1 0", "0 0 2"])
     def test_move_outside_the_complex_fails_at_its_step(self, capsys, tmp_path, line):
         """A vertex outside 0..n-1, a color outside 0..r-1, or a non-edge."""
@@ -444,6 +454,48 @@ class TestUsageErrors:
             "{0,1}|{0,2}|{0}",
         )
         assert code == 2 and "valid 0-cell" in err
+
+    def test_invalid_zero_cell_rejected_by_bfs(self, capsys):
+        code, _, err = run(
+            capsys,
+            "plan",
+            "--mode",
+            "bfs",
+            "--graph",
+            "P3",
+            "--colors",
+            "2,2,1",
+            "--start",
+            "{0,1}|{0,1}|{0}",
+            "--end",
+            "{0,1}|{0,2}|{0}",
+        )
+        assert code == 2 and "valid 0-cell" in err
+
+    def test_invalid_zero_cell_before_hypotheses(self, capsys):
+        """Two colors fail the constructive planner's hypotheses (exit 4), but
+        a start that is not a 0-cell of the complex is a usage error first."""
+        code, _, err = run(
+            capsys,
+            "plan",
+            "--graph",
+            "T4",
+            "--colors",
+            "3,2",
+            "--start",
+            "{0,1,2}|{0,1}",
+            "--end",
+            "{1,2,3}|{0,1}",
+        )
+        assert code == 2 and err == "error: start is not a valid 0-cell of the complex\n"
+
+    def test_stray_comma_in_plan_file(self, capsys, tmp_path):
+        plan_file = tmp_path / "plan.txt"
+        plan_file.write_text("{0,1,}|{1,2}|{0}\n")
+        code, out, err = run(
+            capsys, "verify", "--graph", "P3", "--colors", "2,2,1", "--plan-file", str(plan_file)
+        )
+        assert code == 2 and out == "" and err.startswith("error: line 1: bad start cell")
 
     def test_degenerate_named_graph(self, capsys):
         code, _, err = run(capsys, "count", "--graph", "C2", "--colors", "1,1")

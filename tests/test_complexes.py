@@ -584,8 +584,25 @@ class TestCellText:
         assert parse_cell("{(1,0)}") == Cell.make([((0, 1),)])
 
     @pytest.mark.parametrize(
-        "bad", ["0,1|{2}", "{(0,0)}", "{(1)}", "{x}", "{(0,1,2)}", "{0)}", "{(a,b)}"]
+        "bad",
+        [
+            "0,1|{2}", "{(0,0)}", "{(1)}", "{x}", "{(0,1,2)}", "{0)}", "{(a,b)}",
+            "{0,,1}", "{0,}", "{,0}|{1}", "{ , }", "{+1}", "{1_0}",
+        ],
     )
     def test_parse_errors(self, bad):
         with pytest.raises(ValueError):
             parse_cell(bad)
+
+    @pytest.mark.parametrize(
+        "text, cell",
+        [
+            ("{ 0 , ( 2 , 1 ) }", Cell.make([(0, (1, 2))])),
+            ("{}", Cell(((),))),
+            ("{-1}", Cell(((-1,),))),
+        ],
+    )
+    def test_parse_accepts(self, text, cell):
+        """Spaces around any token, a blank part, and a negative vertex, which
+        ``_zero_key`` rejects later, not the grammar."""
+        assert parse_cell(text) == cell

@@ -680,6 +680,15 @@ class TestPlan:
                 call()
             assert not isinstance(exc.value, InternalPlanningError)
 
+    def test_cells_are_checked_before_the_hypotheses(self, t4):
+        """``plan``, like ``plan_bfs``, rejects a cell outside the complex as
+        such, also on a complex that fails the planner's hypotheses."""
+        spec = ComplexSpec(t4, ColorVector((3, 2)))
+        start, goal = Cell.make([(0, 1, 2), (0, 1)]), Cell.make([(1, 2, 3), (0, 1)])
+        with pytest.raises(PlanningError, match="start is not a valid 0-cell") as exc:
+            plan(spec, start, goal)
+        assert not isinstance(exc.value, HypothesisNotMetError)
+
 
 class TestPlanningDifferential:
     """On every connected graph with at most five vertices and every
@@ -1065,3 +1074,9 @@ class TestPlanText:
         with pytest.raises(PlanFormatError) as exc:
             parse_plan(spec, "{0,1}|{0,2}|{0}\n0 x 1")
         assert exc.value.line == 2
+
+    def test_stray_comma_in_the_start_line(self, p3):
+        spec = ComplexSpec(p3, ColorVector((2, 2, 1)))
+        with pytest.raises(PlanFormatError, match="^line 1: bad start cell") as exc:
+            parse_plan(spec, "{0,1,}|{1,2}|{0}\n")
+        assert exc.value.line == 1

@@ -260,6 +260,99 @@ class TestConnectivityTheorem:
         assert self.connected_tally(range(1, 6), 2) == Counter({True: 97, False: 49})
 
 
+def facets(cell):
+    """The cells that replace one edge slot of ``cell`` by one of its ends."""
+    for c, part in enumerate(cell.parts):
+        for k, el in enumerate(part):
+            if isinstance(el, tuple):
+                for end in el:
+                    yield Cell.make(cell.parts[:c] + (part[:k] + (end,) + part[k + 1 :],) + cell.parts[c + 1 :])
+
+
+def gf2_rank(rows):
+    """The rank over GF(2) of rows given as int bitsets, by elimination on
+    each row's highest bit."""
+    pivots = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
+
+
+def mod2_betti(spec):
+    """The mod-2 Betti numbers of a non-empty complex, read as a chain complex
+    over GF(2) whose boundary takes a cell to the sum of its facets; asserts on
+    the way that every facet is a cell of the complex and that the boundary of
+    a boundary is 0."""
+    by_dim = {}
+    for cell in enumerate_cells(spec):
+        by_dim.setdefault(cell.dimension, []).append(cell)
+    cells = [by_dim.get(d, []) for d in range(max(by_dim) + 1)]
+    # boundary[d][i]: the facets of the i-th d-cell, as a bitset over (d-1)-cells
+    boundary = [[0] * len(cells[0])]
+    for d in range(1, len(cells)):
+        index = {cell: i for i, cell in enumerate(cells[d - 1])}
+        rows = []
+        for cell in cells[d]:
+            row = 0
+            for facet in facets(cell):
+                assert facet in index, (spec, cell, facet)
+                row ^= 1 << index[facet]
+            twice, bits = 0, row
+            while bits:
+                low = bits & -bits
+                twice ^= boundary[d - 1][low.bit_length() - 1]
+                bits ^= low
+            assert twice == 0, (spec, cell)
+            rows.append(row)
+        boundary.append(rows)
+    ranks = [gf2_rank(rows) for rows in boundary] + [0]
+    return tuple(len(cells[d]) - ranks[d] - ranks[d + 1] for d in range(len(cells)))
+
+
+class TestChainComplex:
+    """The cells form a closed complex: each facet of a cell, which replaces
+    one edge slot by one of its ends, is a cell, and over GF(2) the boundary
+    of a boundary is 0.  Then beta_0, from the rank of the boundary on
+    1-cells, is a third count of components beside the union-find and the
+    planner; it must equal ``connected_components``'."""
+
+    @staticmethod
+    def check_all(ns):
+        checked = 0
+        for n in ns:
+            for g, sizes, cover in itertools.product(connected_graphs(n), color_vectors(n), (True, False)):
+                spec = ComplexSpec(g, ColorVector(sizes), require_cover=cover)
+                if f_vector(spec) == (0,):
+                    continue
+                assert mod2_betti(spec)[0] == connected_components(spec)[0], (g.edges, sizes, cover)
+                checked += 1
+        return checked
+
+    def test_every_connected_graph_up_to_four_vertices(self):
+        assert self.check_all(range(1, 5)) == 287
+
+    @pytest.mark.slow
+    def test_five_vertices(self):
+        assert self.check_all((5,)) == 1344
+
+    @pytest.mark.parametrize(
+        "name, sizes, betti",
+        [
+            ("P4", (2, 2, 2), (1, 8, 1)),
+            ("C4", (2, 2, 2), (1, 5, 10)),
+            ("K4", (3, 3, 3), (1, 9, 27, 1)),
+            pytest.param("K5", (3, 3, 3), (1, 21, 150, 341, 1), marks=pytest.mark.slow),
+        ],
+    )
+    def test_betti_numbers(self, name, sizes, betti):
+        assert mod2_betti(ComplexSpec(parse_graph_name(name), ColorVector(sizes))) == betti
+
+
 class TestEuler:
     def test_examples(self):
         assert euler_characteristic((15, 16)) == -1
